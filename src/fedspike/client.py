@@ -2,11 +2,14 @@
 
 A client's seed expands into two labeled sub-streams ("projector-noise",
 "eigenvalue-noise") so the round-1 and round-2 noise draws are independent.
-The released frame depends on the data only through the sample covariance.
+The released frame depends on the data only through the sample covariance,
+which is computed once per ``Dataset`` (see ``_local_moments``) and shared by
+both rounds and by every method that releases from the same data.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +41,46 @@ class ClientConfig:
             raise ValueError("plug-in lambda and sigma2 must be positive")
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _Moments:
+    """S = (1/n) X X^T of one dataset and, per rank r, what round 1 reads of
+    its spectrum: the top-r frame and the eigenvalues at positions r and r+1
+    (the two that set the eigengap). The p x p eigenvector matrix is not kept.
+    """
+
+    def __init__(self, data: Dataset):
+        self.s = _read_only(sample_covariance(data))
+        self._top: dict = {}
+
+    def top(self, r: int) -> tuple[np.ndarray, np.ndarray]:
+        if r not in self._top:
+            eig = sym_eig(self.s)
+            self._top[r] = (
+                _read_only(eig.vectors[:, :r].copy()),
+                _read_only(eig.values[r - 1 : r + 1].copy()),
+            )
+        return self._top[r]
+
+
+# Keyed by the Dataset object; an entry lives as long as its dataset.
+_MOMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _local_moments(data: Dataset) -> _Moments:
+    """The dataset's second moment and spectrum, computed once per Dataset.
+
+    A dataset's samples are read-only, so the cached values cannot go stale.
+    """
+    moments = _MOMENTS.get(data)
+    if moments is None:
+        moments = _MOMENTS[data] = _Moments(data)
+    return moments
+
+
 def _noisy_projector_matrix(data: Dataset, cfg: ClientConfig):
     """Sample-covariance projector plus calibrated symmetric noise."""
     p, n = data.dim_p, data.n_samples
@@ -46,14 +89,13 @@ def _noisy_projector_matrix(data: Dataset, cfg: ClientConfig):
         raise ValueError(f"need at least r={r} observations, got {n}")
     if r > p:
         raise ValueError(f"rank_r={r} exceeds data dimension {p}")
-    eig = sym_eig(sample_covariance(data))
+    u_tilde, edge = _local_moments(data).top(r)
     warning = None
-    if r < p and eig.values[r - 1] - eig.values[r] <= _GAP_TOL:
+    if r < p and edge[0] - edge[1] <= _GAP_TOL:
         warning = (
             f"degenerate sample spectrum: top-{r} eigengap "
-            f"{eig.values[r - 1] - eig.values[r]:.3e}; noise regularizes"
+            f"{edge[0] - edge[1]:.3e}; noise regularizes"
         )
-    u_tilde = eig.vectors[:, :r]
     cal = calibrate(cfg.budget, p, r, n, cfg.lambda_plugin, cfg.sigma2_plugin)
     z = sample_symmetric_noise(p, cal.alpha_sq, derive_seed(cfg.seed, "projector-noise"))
     return u_tilde @ u_tilde.T + z, warning
@@ -96,7 +138,7 @@ def local_private_eigenvalues(
     r = cfg.rank_r
     if u.shape != (p, r):
         raise ValueError(f"broadcast frame shape {u.shape} does not match (p={p}, r={r})")
-    s = sample_covariance(data)
+    s = _local_moments(data).s
     core = u.T @ s @ u
     core = (core + core.T) / 2.0
     core[np.diag_indices_from(core)] -= cfg.sigma2_plugin

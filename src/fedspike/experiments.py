@@ -2,10 +2,16 @@
 
 Seed discipline: every random input is derived from (base_seed, scenario,
 role, ...) labels that never include the method name, so all methods in a
-replication consume bit-identical datasets and mechanism-noise streams (a
-paired comparison). Where a sweep only changes budgets (privacy_utility)
-or nests clients (vary_clients, fixed_total), data seeds also exclude the
-sweep value, which pairs the curve across sweep points.
+replication consume the same datasets and mechanism-noise streams (a paired
+comparison). Where a sweep only changes budgets (privacy_utility) or nests
+clients (vary_clients, fixed_total), data seeds also exclude the sweep
+value, which pairs the curve across sweep points.
+
+``run_scenario`` draws each model and dataset once, keyed by those seed
+labels, and hands the same objects to every cell that names them; the
+clients compute each dataset's second moment once (``client``). Datasets
+are read-only, and the pairing check digests them when drawn and after their
+last use, so a method that alters shared data fails loudly.
 """
 
 from __future__ import annotations
@@ -102,7 +108,11 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One replication of one method at one sweep point."""
+    """One replication of one method at one sweep point.
+
+    ``wall_ms`` times the method alone. The model and the datasets are drawn
+    once per replication, outside the timer, and shared by all its cells.
+    """
 
     scenario: str
     method: str
@@ -182,21 +192,38 @@ def _sweep_in_data_seed(spec: ExperimentSpec) -> bool:
     return spec.scenario == "heterogeneous"
 
 
-def _make_model(spec: ExperimentSpec, sweep_index: int, rep: int) -> SpikedModel:
+def _drawn(spec: ExperimentSpec, held: dict, labels: tuple, draw):
+    """``draw(seed)`` for the seed of ``labels``, drawn once and then held."""
+    if labels not in held:
+        held[labels] = draw(derive_seed(spec.base_seed, spec.scenario, *labels))
+    return held[labels]
+
+
+def _make_model(spec: ExperimentSpec, sweep_index: int, rep: int, held: dict) -> SpikedModel:
     labels = ("model", sweep_index, rep) if _sweep_in_data_seed(spec) else ("model", rep)
-    u = random_orthonormal(spec.p, spec.r, derive_seed(spec.base_seed, spec.scenario, *labels))
     spikes = np.full(spec.r, spec.lam)
-    return SpikedModel(u, spikes, spec.sigma2)
+    return _drawn(
+        spec,
+        held,
+        labels,
+        lambda seed: SpikedModel(random_orthonormal(spec.p, spec.r, seed), spikes, spec.sigma2),
+    )
 
 
 def _make_datasets(
-    spec: ExperimentSpec, model: SpikedModel, layout: list[tuple], sweep_index: int, rep: int
+    spec: ExperimentSpec,
+    model: SpikedModel,
+    layout: list[tuple],
+    sweep_index: int,
+    rep: int,
+    held: dict,
 ) -> list[Dataset]:
+    """The clients' datasets of one cell; draws already in ``held`` are reused."""
     if spec.scenario == "fixed_total":
         # One pooled draw per replication, partitioned among the clients, so
         # sweeps over m compare partitions of identical data.
-        pool = sample(
-            model, spec.total_n, derive_seed(spec.base_seed, spec.scenario, "pool", rep)
+        pool = _drawn(
+            spec, held, ("pool", rep), lambda seed: sample(model, spec.total_n, seed)
         ).samples
         out, start = [], 0
         for j, (n_j, _, _) in enumerate(layout):
@@ -210,8 +237,9 @@ def _make_datasets(
             if _sweep_in_data_seed(spec)
             else ("data", rep, j)
         )
-        seed = derive_seed(spec.base_seed, spec.scenario, *labels)
-        datasets.append(sample(model, n_j, seed, f"c{j:03d}"))
+        datasets.append(
+            _drawn(spec, held, labels, lambda seed: sample(model, n_j, seed, f"c{j:03d}"))
+        )
     return datasets
 
 
@@ -236,11 +264,46 @@ def _client_configs(
     return cfgs
 
 
-def _digest(datasets: list[Dataset]) -> str:
-    h = hashlib.blake2b(digest_size=16)
+def _digest(datasets: list[Dataset]) -> tuple[str, ...]:
+    """One blake2b digest of each dataset's samples, in order."""
+    out = []
     for d in datasets:
+        h = hashlib.blake2b(digest_size=16)
         h.update(d.samples.tobytes())
-    return h.hexdigest()
+        out.append(h.hexdigest())
+    return tuple(out)
+
+
+class _PairingCheck:
+    """Guards the data that the methods share against writes.
+
+    Each dataset is digested when it is first handed to the methods and again
+    when the run lets go of it; the two digests must agree.
+    """
+
+    def __init__(self):
+        self._live: dict = {}  # id(dataset) -> (dataset, digest at hand-out)
+
+    def hand_out(self, datasets: list[Dataset]) -> tuple[str, ...]:
+        """The digests of a cell's datasets, taking those of new datasets."""
+        new = [d for d in datasets if id(d) not in self._live]
+        if new:
+            self._live.update((id(d), (d, dig)) for d, dig in zip(new, _digest(new)))
+        return tuple(self._live[id(d)][1] for d in datasets)
+
+    def release(self, held: dict, where: str) -> None:
+        """Check the datasets that ``held`` no longer holds, then forget them."""
+        kept = {id(v) for v in held.values()}
+        gone = [d for key, (d, _) in self._live.items() if key not in kept]
+        if not gone:
+            return
+        for d, after in zip(gone, _digest(gone)):
+            if self._live.pop(id(d))[1] != after:
+                raise RuntimeError(
+                    f"paired-seed violation in {where}: the data of client "
+                    f"{d.client_id} changed after it was drawn; a method wrote "
+                    "into data that other methods share"
+                )
 
 
 def _oja_config(spec: ExperimentSpec) -> OjaConfig:
@@ -257,7 +320,6 @@ def _oja_config(spec: ExperimentSpec) -> OjaConfig:
 def _run_method(
     method: str,
     spec: ExperimentSpec,
-    model: SpikedModel,
     datasets: list[Dataset],
     layout: list[tuple],
     cfgs: list[ClientConfig],
@@ -300,9 +362,19 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run every (method, sweep point, replication) cell of a scenario.
 
-    Each method regenerates its inputs from the shared seeds; with
-    ``verify_pairing`` the dataset digests are checked to be identical
-    across methods in every replication.
+    Replications run one after another. Each draws its model and datasets
+    once, keyed by their seed labels, and every cell whose seeds agree reuses
+    that draw: all methods, all sweep points where the seeds leave out the
+    sweep value (every scenario but heterogeneous), the first m clients of
+    vary_clients, and fixed_total's pool. At most one replication's data is
+    held (one cell's in heterogeneous). Records come out in (sweep point,
+    replication, method) order.
+
+    With ``verify_pairing`` each dataset is digested when it is drawn and
+    again after the last cell that uses it; a mismatch (a method wrote into
+    shared data) raises ``RuntimeError`` naming the replication and the
+    client. ``data_digests`` maps each (sweep index, replication) cell to
+    the digests of its clients' datasets.
     """
     values = sweep_values(spec)
     for sweep_index, sv in enumerate(values):
@@ -313,48 +385,50 @@ def run_scenario(
                 f"than r={spec.r} observations"
             )
 
-    records: list[RunRecord] = []
+    cells = [[[] for _ in range(spec.replications)] for _ in values]
     digests: dict = {}
-    for sweep_index, sv in enumerate(values):
-        for rep in range(spec.replications):
+    pairing = _PairingCheck()
+    for rep in range(spec.replications):
+        held: dict = {}  # this replication's draws, keyed by seed labels
+        for sweep_index, sv in enumerate(values):
             rep_seed = derive_seed(spec.base_seed, spec.scenario, "rep", sweep_index, rep)
             layout = client_layout(spec, sv, sweep_index, rep)
+            model = _make_model(spec, sweep_index, rep, held)
+            datasets = _make_datasets(spec, model, layout, sweep_index, rep, held)
+            cfgs = _client_configs(spec, layout, sweep_index, rep)
+            if verify_pairing:
+                digests[(sweep_index, rep)] = pairing.hand_out(datasets)
+            truth = covariance_matrix(model)
             for method in spec.methods:
                 t0 = time.perf_counter()
-                model = _make_model(spec, sweep_index, rep)
-                datasets = _make_datasets(spec, model, layout, sweep_index, rep)
-                cfgs = _client_configs(spec, layout, sweep_index, rep)
                 u_hat, sigma_hat = _run_method(
-                    method, spec, model, datasets, layout, cfgs, sweep_index, rep
+                    method, spec, datasets, layout, cfgs, sweep_index, rep
                 )
                 wall_ms = (time.perf_counter() - t0) * 1000.0
-                if verify_pairing:
-                    key = (sweep_index, rep)
-                    dig = _digest(datasets)
-                    if digests.setdefault(key, dig) != dig:
-                        raise RuntimeError(
-                            f"paired-seed violation at sweep {sv} rep {rep}: "
-                            f"method {method} saw different data"
-                        )
-                proj_err = projection_distance(u_hat, model.basis_u)
                 cov_err = None
                 if sigma_hat is not None:
-                    cov_err = float(
-                        np.linalg.norm(sigma_hat - covariance_matrix(model), "fro")
-                    )
-                records.append(
+                    cov_err = float(np.linalg.norm(sigma_hat - truth, "fro"))
+                cells[sweep_index][rep].append(
                     RunRecord(
                         scenario=spec.scenario,
                         method=method,
                         sweep_value=float(sv),
                         replication=rep,
-                        projection_error=proj_err,
+                        projection_error=projection_distance(u_hat, model.basis_u),
                         cov_frobenius_error=cov_err,
                         wall_ms=wall_ms,
                         seed=rep_seed,
                     )
                 )
+            if _sweep_in_data_seed(spec):
+                held.clear()  # the next sweep point draws its own data
+            if verify_pairing:
+                pairing.release(held, f"replication {rep} at sweep {sv}")
+        held.clear()
+        if verify_pairing:
+            pairing.release(held, f"replication {rep}")
 
+    records = [rec for row in cells for cell in row for rec in cell]
     result = ScenarioResult(spec=spec, records=records, data_digests=digests)
     if out_dir is not None:
         import os

@@ -64,13 +64,19 @@ class SpikedModel:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A client's observations, stored as columns of a p x n matrix."""
+    """A client's observations, stored as columns of a p x n matrix.
+
+    The dataset owns a private, read-only copy of its samples, so statistics
+    computed from it once (``client``'s cached second moment) stay valid and
+    a method cannot alter data that other methods share.
+    """
 
     samples: np.ndarray
     client_id: str | None = None
 
     def __post_init__(self):
         x = np.array(self.samples, dtype=float)
+        x.flags.writeable = False
         object.__setattr__(self, "samples", x)
         if x.ndim != 2:
             raise ValueError("samples must be a p x n matrix")

@@ -72,6 +72,16 @@ class TestPrivateProjector:
         assert msg.warning is not None and "degenerate" in msg.warning
         assert msg.u_hat.shape == (4, 2)
 
+    def test_warning_reads_the_gap_between_eigenvalues_r_and_r_plus_1(self):
+        # (1/4) X X' = diag(x^2 / 4): a tie past position r + 1 is no warning,
+        # a tie at positions r and r + 1 is.
+        from fedspike import Dataset
+
+        untied = local_private_projector(Dataset(np.diag([4.0, 2.0, 2.0, 2.0])), _cfg(r=1))
+        tied = local_private_projector(Dataset(np.diag([4.0, 4.0, 2.0, 2.0])), _cfg(r=1))
+        assert untied.warning is None
+        assert tied.warning is not None and "degenerate" in tied.warning
+
     def test_depends_on_data_only_through_covariance(self):
         # Negating every observation leaves X X' bit-identical, so the
         # released frame must be bit-identical too.
@@ -172,6 +182,57 @@ class TestPrivateEigenvalues:
         e_msg = local_private_eigenvalues(data, z_msg.u_hat, cfg)
         again = local_private_eigenvalues(data, z_msg.u_hat, cfg)
         assert np.array_equal(e_msg.lambda_hat, again.lambda_hat)
+
+
+class TestLocalMoments:
+    def test_second_moment_and_spectrum_computed_once_per_dataset(self, monkeypatch):
+        from fedspike import client, spectral
+
+        calls = {"sample_covariance": 0, "sym_eig": 0}
+
+        def counted(name):
+            original = getattr(spectral, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(client, name, counted(name))
+        model = make_model(9, 2, [8.0, 6.0], 1.0, 4)
+        data = sample(model, 120, 5)
+        cfg = _cfg(seed=3, r=2)
+        msg = local_private_projector(data, cfg)
+        local_raw_noisy_projector(data, cfg)
+        local_private_eigenvalues(data, msg.u_hat, cfg)
+        local_private_projector(data, _cfg(seed=4, r=2))
+        assert calls == {"sample_covariance": 1, "sym_eig": 1}
+        # A new Dataset with the same samples gets its own computation.
+        local_private_projector(sample(model, 120, 5), cfg)
+        assert calls == {"sample_covariance": 2, "sym_eig": 2}
+
+    def test_cached_releases_match_fresh_ones(self):
+        model = make_model(10, 2, [8.0, 6.0], 1.0, 7)
+        data = sample(model, 90, 8)
+        cfg = _cfg(seed=9, r=2)
+        first = local_private_projector(data, cfg)
+        again = local_private_projector(data, cfg)
+        fresh = local_private_projector(sample(model, 90, 8), cfg)
+        assert np.array_equal(first.u_hat, again.u_hat)
+        assert np.array_equal(first.u_hat, fresh.u_hat)
+        eig = local_private_eigenvalues(data, first.u_hat, cfg)
+        eig_fresh = local_private_eigenvalues(sample(model, 90, 8), first.u_hat, cfg)
+        assert np.array_equal(eig.lambda_hat, eig_fresh.lambda_hat)
+
+    def test_rank_change_recomputes_the_frame(self):
+        model = make_model(10, 2, [8.0, 6.0], 1.0, 7)
+        data = sample(model, 90, 8)
+        r1 = local_private_projector(data, _cfg(seed=9, r=1, eps=1e9))
+        r2 = local_private_projector(data, _cfg(seed=9, r=2, eps=1e9))
+        assert r1.u_hat.shape == (10, 1) and r2.u_hat.shape == (10, 2)
+        assert projection_distance(r2.u_hat, svd_r(sample_covariance(data), 2)) <= 1e-6
 
 
 class TestClientConfig:

@@ -157,6 +157,201 @@ class TestRunScenario:
         assert fed == eq
 
 
+_ALL_METHODS = ("fedspike", "equal", "reference", "oja")
+
+# Tiny specs of the four scenarios: two replications and at least two sweep
+# points each, so draws shared across sweep points, methods and client
+# prefixes (vary_clients) or partitions (fixed_total) are all exercised.
+GOLDEN_SPECS = {
+    "privacy_utility": dict(
+        p=8, r=1, lam=8.0, m=2, n=120, eps_grid=(0.5, 1.0), replications=2, base_seed=3,
+        methods=_ALL_METHODS,
+    ),
+    "vary_clients": dict(
+        p=8, r=2, lam=8.0, n=100, m_grid=(2, 3), replications=2, base_seed=4,
+        methods=_ALL_METHODS,
+    ),
+    "fixed_total": dict(
+        p=8, r=1, lam=8.0, total_n=240, total_m_grid=(2, 3, 4), replications=2, base_seed=5,
+        methods=_ALL_METHODS,
+    ),
+    "heterogeneous": dict(
+        p=8, r=1, lam=8.0, m=4, n_sample_grid=(30, 60), small_mult=2, large_mult=5,
+        replications=2, base_seed=6, methods=_ALL_METHODS,
+    ),
+}
+
+# (method, sweep_value, replication, projection_error, cov_frobenius_error, seed)
+# in record order, printed with format(x, ".17g").
+GOLDEN_RECORDS = {
+    'privacy_utility': [
+        ('fedspike', 0.5, 0, 0.79277678907230609, 8.2754558577206083, 1670605349684572875),
+        ('equal', 0.5, 0, 0.79277678907230609, 8.2754558577206083, 1670605349684572875),
+        ('reference', 0.5, 0, 0.777288360704389, None, 1670605349684572875),
+        ('oja', 0.5, 0, 1.3815982087905259, None, 1670605349684572875),
+        ('fedspike', 0.5, 1, 0.475547461946906, 5.7063036692000857, 1810618486974225461),
+        ('equal', 0.5, 1, 0.475547461946906, 5.7063036692000857, 1810618486974225461),
+        ('reference', 0.5, 1, 0.42029693804599455, None, 1810618486974225461),
+        ('oja', 0.5, 1, 1.4120359061619636, None, 1810618486974225461),
+        ('fedspike', 1.0, 0, 0.37207086867892858, 4.4417074799465111, 11597779669171962601),
+        ('equal', 1.0, 0, 0.37207086867892858, 4.4417074799465111, 11597779669171962601),
+        ('reference', 1.0, 0, 0.32972584140517014, None, 11597779669171962601),
+        ('oja', 1.0, 0, 1.3911414271915843, None, 11597779669171962601),
+        ('fedspike', 1.0, 1, 0.26050764985944419, 2.8751831403941415, 4956334396715427619),
+        ('equal', 1.0, 1, 0.26050764985944419, 2.8751831403941415, 4956334396715427619),
+        ('reference', 1.0, 1, 0.25111837772342294, None, 4956334396715427619),
+        ('oja', 1.0, 1, 1.226898871337696, None, 4956334396715427619),
+    ],
+    'vary_clients': [
+        ('fedspike', 2.0, 0, 1.1095662824380619, 10.940518390149286, 13576668318395242164),
+        ('equal', 2.0, 0, 1.1095662824380619, 10.940518390149286, 13576668318395242164),
+        ('reference', 2.0, 0, 1.012910283914181, None, 13576668318395242164),
+        ('oja', 2.0, 0, 1.7765882458837543, None, 13576668318395242164),
+        ('fedspike', 2.0, 1, 0.98324846200191918, 11.782549269766704, 15355416055713357025),
+        ('equal', 2.0, 1, 0.98324846200191918, 11.782549269766704, 15355416055713357025),
+        ('reference', 2.0, 1, 0.76094612530318384, None, 15355416055713357025),
+        ('oja', 2.0, 1, 1.8865738665428371, None, 15355416055713357025),
+        ('fedspike', 3.0, 0, 0.97566534137149075, 9.1241567703369189, 10337247242088117214),
+        ('equal', 3.0, 0, 0.97566534137149075, 9.1241567703369189, 10337247242088117214),
+        ('reference', 3.0, 0, 0.89600139490422692, None, 10337247242088117214),
+        ('oja', 3.0, 0, 1.5021995263347157, None, 10337247242088117214),
+        ('fedspike', 3.0, 1, 1.0899656833396114, 9.7463829007325931, 4580051471237670313),
+        ('equal', 3.0, 1, 1.0899656833396114, 9.7463829007325931, 4580051471237670313),
+        ('reference', 3.0, 1, 0.69382915178971072, None, 4580051471237670313),
+        ('oja', 3.0, 1, 1.774536290572241, None, 4580051471237670313),
+    ],
+    'fixed_total': [
+        ('fedspike', 2.0, 0, 1.1693977275261032, 7.6206571239875318, 5351376634899501350),
+        ('equal', 2.0, 0, 1.1693977275261032, 7.6206571239875318, 5351376634899501350),
+        ('reference', 2.0, 0, 0.74858541592481986, None, 5351376634899501350),
+        ('oja', 2.0, 0, 1.4074715122115884, None, 5351376634899501350),
+        ('fedspike', 2.0, 1, 0.65725750303618657, 5.174499463747658, 4945938007783659419),
+        ('equal', 2.0, 1, 0.65725750303618657, 5.174499463747658, 4945938007783659419),
+        ('reference', 2.0, 1, 0.58369744148132918, None, 4945938007783659419),
+        ('oja', 2.0, 1, 0.93534796449227298, None, 4945938007783659419),
+        ('fedspike', 3.0, 0, 0.96734183354694803, 7.9008444071298189, 17055792467225861429),
+        ('equal', 3.0, 0, 0.96734183354694769, 7.9008444071298181, 17055792467225861429),
+        ('reference', 3.0, 0, 0.84704968482538023, None, 17055792467225861429),
+        ('oja', 3.0, 0, 1.4072782596097839, None, 17055792467225861429),
+        ('fedspike', 3.0, 1, 0.74216815668166813, 5.5336408298310715, 487756119839338384),
+        ('equal', 3.0, 1, 0.74216815668166836, 5.5336408298310724, 487756119839338384),
+        ('reference', 3.0, 1, 0.65770526139370256, None, 487756119839338384),
+        ('oja', 3.0, 1, 1.4100668237469423, None, 487756119839338384),
+        ('fedspike', 4.0, 0, 1.0615178446607227, 8.0157337401868514, 15678818002858283645),
+        ('equal', 4.0, 0, 1.0615178446607227, 8.0157337401868514, 15678818002858283645),
+        ('reference', 4.0, 0, 1.0201343913670766, None, 15678818002858283645),
+        ('oja', 4.0, 0, 1.3314528986388001, None, 15678818002858283645),
+        ('fedspike', 4.0, 1, 0.76613989523516268, 5.7070717703317371, 6010789218320181495),
+        ('equal', 4.0, 1, 0.76613989523516268, 5.7070717703317371, 6010789218320181495),
+        ('reference', 4.0, 1, 0.75308483354197497, None, 6010789218320181495),
+        ('oja', 4.0, 1, 1.4100816060578851, None, 6010789218320181495),
+    ],
+    'heterogeneous': [
+        ('fedspike', 30.0, 0, 1.3863101724743272, 8.2862456240494922, 12006466451282931815),
+        ('equal', 30.0, 0, 1.3056675554844117, 8.029689834780374, 12006466451282931815),
+        ('reference', 30.0, 0, 1.0164813111396191, None, 12006466451282931815),
+        ('oja', 30.0, 0, 1.3827939584406439, None, 12006466451282931815),
+        ('fedspike', 30.0, 1, 0.93955613172978691, 6.6817655969726255, 5095364788091227590),
+        ('equal', 30.0, 1, 0.91770106361966797, 7.3811639843503922, 5095364788091227590),
+        ('reference', 30.0, 1, 1.2101427101042719, None, 5095364788091227590),
+        ('oja', 30.0, 1, 1.4115351386866022, None, 5095364788091227590),
+        ('fedspike', 60.0, 0, 0.39627754554262157, 6.2887348721357554, 10417165232221517403),
+        ('equal', 60.0, 0, 0.41129510850347512, 6.9944549880347324, 10417165232221517403),
+        ('reference', 60.0, 0, 0.47502024227643097, None, 10417165232221517403),
+        ('oja', 60.0, 0, 1.3225613253517963, None, 10417165232221517403),
+        ('fedspike', 60.0, 1, 0.44624053319773849, 3.9791263523353702, 2572116310864510088),
+        ('equal', 60.0, 1, 0.7145404153000382, 12.448550618357912, 2572116310864510088),
+        ('reference', 60.0, 1, 1.2716150416427117, None, 2572116310864510088),
+        ('oja', 60.0, 1, 1.3145413081631216, None, 2572116310864510088),
+    ],
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_SPECS))
+def test_golden_records(scenario):
+    """Paired-seed errors at fixed seeds stay the same across versions."""
+    records = run_scenario(default_spec(scenario, **GOLDEN_SPECS[scenario])).records
+    got = [
+        (r.method, r.sweep_value, r.replication, r.projection_error, r.cov_frobenius_error, r.seed)
+        for r in records
+    ]
+    want = GOLDEN_RECORDS[scenario]
+    assert [g[:3] + g[5:] for g in got] == [w[:3] + w[5:] for w in want]
+    for g, w in zip(got, want):
+        assert g[3] == pytest.approx(w[3], rel=1e-9, abs=1e-12), g[:3]
+        if w[4] is None:
+            assert g[4] is None, g[:3]
+        else:
+            assert g[4] == pytest.approx(w[4], rel=1e-9, abs=1e-12), g[:3]
+
+
+@pytest.mark.parametrize("scenario", ["privacy_utility", "vary_clients"])
+def test_digests_regenerate_from_the_seeds(scenario):
+    """Each cell's data_digests entry is the digest of the datasets that the
+    documented seed labels produce, drawn afresh."""
+    from fedspike import SpikedModel, random_orthonormal
+    from fedspike.experiments import _digest
+    from fedspike.rng import derive_seed
+
+    spec = default_spec(scenario, **GOLDEN_SPECS[scenario])
+    result = run_scenario(spec, verify_pairing=True)
+    values = sweep_values(spec)
+    assert len(result.data_digests) == len(values) * spec.replications
+    for (sweep_index, rep), entry in result.data_digests.items():
+        m = spec.m if scenario == "privacy_utility" else int(values[sweep_index])
+        seed = derive_seed(spec.base_seed, scenario, "model", rep)
+        u = random_orthonormal(spec.p, spec.r, seed)
+        model = SpikedModel(u, np.full(spec.r, spec.lam), spec.sigma2)
+        datasets = [
+            sample(model, spec.n, derive_seed(spec.base_seed, scenario, "data", rep, j), f"c{j:03d}")
+            for j in range(m)
+        ]
+        assert entry == _digest(datasets)
+
+
+@pytest.mark.parametrize(
+    "scenario, draws_per_rep",
+    [
+        ("privacy_utility", 2),  # m clients, shared by both eps points
+        ("vary_clients", 3),  # the largest m; smaller m take a prefix
+        ("fixed_total", 1),  # one pool, partitioned three ways
+        ("heterogeneous", 2 * 4),  # sizes change with the sweep: m per point
+    ],
+)
+def test_each_replication_draws_once(scenario, draws_per_rep, monkeypatch):
+    from fedspike import experiments
+
+    calls = []
+    original = experiments.sample
+    monkeypatch.setattr(
+        experiments, "sample", lambda *a, **k: calls.append(a[2]) or original(*a, **k)
+    )
+    spec = default_spec(scenario, **GOLDEN_SPECS[scenario])
+    run_scenario(spec)
+    assert len(calls) == len(set(calls)) == draws_per_rep * spec.replications
+
+
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_SPECS))
+def test_pairing_check_names_replication_and_client(scenario, monkeypatch):
+    """A method that writes into shared data is caught and named."""
+    from fedspike import experiments
+
+    original = experiments._run_method
+
+    def tampering(method, spec, datasets, *args):
+        out = original(method, spec, datasets, *args)
+        if method == "equal":
+            x = datasets[1].samples
+            x.flags.writeable = True
+            x[0, 0] += 1.0
+        return out
+
+    monkeypatch.setattr(experiments, "_run_method", tampering)
+    spec = default_spec(scenario, **GOLDEN_SPECS[scenario])
+    with pytest.raises(RuntimeError, match=r"replication 0\b.*client c001"):
+        run_scenario(spec, verify_pairing=True)
+
+
 class TestEstimatePlugins:
     def test_recovers_spiked_scales(self):
         model = make_model(20, 1, 10.0, 1.0, 31)

@@ -181,6 +181,14 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset(np.ones((2, 0)))
 
+    def test_samples_are_a_read_only_copy(self):
+        x = np.ones((2, 3))
+        data = Dataset(x)
+        with pytest.raises(ValueError):
+            data.samples[0, 0] = 5.0
+        x[0, 0] = 5.0  # the caller's array stays writable and is not shared
+        assert data.samples[0, 0] == 1.0
+
     def test_csv_roundtrip(self, tmp_path):
         model = make_model(3, 1, 4.0, 1.0, 6)
         data = sample(model, 17, 13, client_id="a")
