@@ -269,7 +269,7 @@ def _digest(datasets: list[Dataset]) -> tuple[str, ...]:
     out = []
     for d in datasets:
         h = hashlib.blake2b(digest_size=16)
-        h.update(d.samples.tobytes())
+        h.update(np.ascontiguousarray(d.samples))
         out.append(h.hexdigest())
     return tuple(out)
 

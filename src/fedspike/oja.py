@@ -26,6 +26,9 @@ from .privacy import PrivacyBudget
 from .rng import derive_seed, rng_from
 from .spectral import svd_r
 
+# Time steps per kernel call: bounds the samples and noise held at once.
+_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class OjaConfig:
@@ -79,32 +82,66 @@ def fed_dp_oja(
     budgets: Sequence[PrivacyBudget],
     seed: int,
 ) -> np.ndarray:
-    """Equal-weight projector average of per-client private Oja runs."""
+    """Equal-weight projector average of per-client private Oja runs.
+
+    Clients with the same sample count run in lockstep as one stack (see
+    ``kernels.oja_stream``); each keeps its own initial frame and noise stream,
+    so its frame is the one a run on its own would give.
+    """
     if len(datasets) < 1:
         raise ValueError("need at least one client dataset")
     if len(budgets) != len(datasets):
         raise ValueError("budgets and datasets must pair up")
     p = datasets[0].dim_p
-    r = cfg.rank_r
+    if any(data.dim_p != p for data in datasets):
+        raise ValueError("all clients must share the data dimension")
+    groups: dict[int, list[int]] = {}
+    for j, data in enumerate(datasets):
+        groups.setdefault(data.n_samples, []).append(j)
+    frames = [None] * len(datasets)
+    for members in groups.values():
+        for j, v in zip(members, _run_group(datasets, members, cfg, budgets, seed)):
+            frames[j] = v
     acc = np.zeros((p, p))
-    for j, (data, budget) in enumerate(zip(datasets, budgets)):
-        if data.dim_p != p:
-            raise ValueError("all clients must share the data dimension")
-        xs = np.ascontiguousarray(data.samples.T)
-        if cfg.passes > 1:
-            xs = np.ascontiguousarray(np.tile(xs, (cfg.passes, 1)))
-        total_steps = xs.shape[0]
-        if cfg.noise_per_step is not None:
-            noise_std = math.sqrt(cfg.noise_per_step)
-        else:
-            noise_std = oja_step_noise_std(budget, cfg.clip_norm, total_steps)
-        v0 = random_orthonormal(p, r, derive_seed(seed, "oja-init", j))
-        if noise_std > 0.0:
-            noise = rng_from(seed, "oja-noise", j).standard_normal((total_steps, p, r))
-        else:
-            noise = np.zeros((1, p, r))
-        v = oja_stream(
-            xs, v0, cfg.step0, cfg.decay, cfg.clip_norm, noise_std, noise, cfg.reorth_every
-        )
+    for v in frames:
         acc += (v @ v.T) / len(datasets)
-    return svd_r(acc, r)
+    return svd_r(acc, cfg.rank_r)
+
+
+def _run_group(
+    datasets: Sequence[Dataset],
+    members: list[int],
+    cfg: OjaConfig,
+    budgets: Sequence[PrivacyBudget],
+    seed: int,
+) -> np.ndarray:
+    """The final frames of the equal-length clients ``members``, run in lockstep.
+
+    Pass k reads sample t - k n at step t, so the stream is never tiled.
+    """
+    group = [datasets[j] for j in members]
+    n, p, r = group[0].n_samples, group[0].dim_p, cfg.rank_r
+    total_steps = n * cfg.passes
+    if cfg.noise_per_step is not None:
+        noise_std = np.full(len(members), math.sqrt(cfg.noise_per_step))
+    else:
+        noise_std = np.array(
+            [oja_step_noise_std(budgets[j], cfg.clip_norm, total_steps) for j in members]
+        )
+    rngs = [rng_from(seed, "oja-noise", j) for j in members] if noise_std.any() else None
+    v = np.stack([random_orthonormal(p, r, derive_seed(seed, "oja-init", j)) for j in members])
+    xs = np.empty((_BLOCK, len(group), p))
+    for pass_no in range(cfg.passes):
+        for s0 in range(0, n, _BLOCK):
+            s1 = min(s0 + _BLOCK, n)
+            block = xs[: s1 - s0]
+            for b, data in enumerate(group):
+                block[:, b] = data.samples[:, s0:s1].T
+            noise = None
+            if rngs is not None:
+                noise = np.stack([g.standard_normal((s1 - s0, p, r)) for g in rngs], axis=1)
+            v = oja_stream(
+                block, v, pass_no * n + s0, cfg.step0, cfg.decay, cfg.clip_norm,
+                noise_std, noise, cfg.reorth_every,
+            )
+    return np.linalg.qr(v)[0]

@@ -223,25 +223,35 @@ class FileTransport:
         pass
 
 
+# 256 MiB: at ~25 bytes per matrix entry, only a p x r frame with p*r near 1e7
+# comes close.
+_MAX_FRAME = 1 << 28
+
+
 def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(struct.pack(">I", len(payload)) + payload)
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes | None:
-    buf = b""
-    while len(buf) < count:
-        chunk = sock.recv(count - len(buf))
-        if not chunk:
+def _recv_exact(sock: socket.socket, count: int) -> bytearray | None:
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
+        k = sock.recv_into(view[got:])
+        if not k:
             return None
-        buf += chunk
+        got += k
     return buf
 
 
-def _recv_frame(sock: socket.socket) -> bytes | None:
+def _recv_frame(sock: socket.socket) -> bytearray | None:
     head = _recv_exact(sock, 4)
     if head is None:
         return None
     (length,) = struct.unpack(">I", head)
+    if length > _MAX_FRAME:
+        # The frame buffer is allocated before its bytes arrive.
+        raise MessageDecodeError(f"frame length {length} exceeds {_MAX_FRAME} bytes")
     return _recv_exact(sock, length)
 
 
@@ -360,10 +370,25 @@ class TcpTransport:
 # ---------------------------------------------------------------------------
 
 
-def _expect(received: list, expected_ids: list[str], allow_dropout: bool, round_name: str):
+# The message type each round's uplink carries.
+_UPLINK = {1: ProjectorMessage, 2: EigenvalueMessage}
+
+
+def _expect(received: list, expected_ids: list[str], allow_dropout: bool, round_no: int):
+    round_name = f"round {round_no}"
+    kind = _UPLINK[round_no]
     by_id: dict[str, object] = {}
     for msg in received:
-        cid = msg.client_id
+        cid = getattr(msg, "client_id", None)
+        if not isinstance(msg, kind):
+            raise SessionError(
+                f"client {cid!r} sent {type(msg).__name__} in {round_name}; "
+                f"field 'type' must be {kind.__name__}"
+            )
+        if cid not in expected_ids:
+            raise SessionError(
+                f"client {cid!r} is not on the roster of {round_name} (field 'client_id')"
+            )
         if cid in by_id:
             raise SessionError(f"duplicate client_id {cid!r} in {round_name}")
         by_id[cid] = msg
@@ -400,7 +425,7 @@ def run_federated_session(
             if client.responsive:
                 transport.send_from_client(client.client_id, client.projector())
         proj_msgs, missing = _expect(
-            transport.collect_at_server(ids), ids, allow_dropout, "round 1"
+            transport.collect_at_server(ids), ids, allow_dropout, 1
         )
         transcript.extend(proj_msgs)
         responders = [m.client_id for m in proj_msgs]
@@ -421,7 +446,7 @@ def run_federated_session(
                 received = transport.receive_at_client(client.client_id)
                 transport.send_from_client(client.client_id, client.eigenvalues(received))
         eig_msgs, missing2 = _expect(
-            transport.collect_at_server(responders), responders, allow_dropout, "round 2"
+            transport.collect_at_server(responders), responders, allow_dropout, 2
         )
         transcript.extend(eig_msgs)
         if missing2:

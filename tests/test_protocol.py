@@ -1,4 +1,7 @@
 import json
+import socket
+import struct
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +26,7 @@ from fedspike import (
     sample,
 )
 from fedspike.messages import MessageError
+from fedspike.protocol import _recv_frame, _send_frame
 from fedspike.server import aggregate_projectors, assemble_covariance, pca_weights
 
 
@@ -212,3 +216,81 @@ class TestSession:
             clients, server, InProcessTransport(), allow_dropout=True
         )
         np.testing.assert_allclose(result.weights.pca_w, [0.5 / 0.7, 0.2 / 0.7])
+
+
+class _InjectingTransport(InProcessTransport):
+    """In-process transport that slips one extra message into a round's uplink."""
+
+    def __init__(self, round_no, msg):
+        self.round_no, self.msg, self.collected = round_no, msg, 0
+
+    def collect_at_server(self, expected_ids):
+        self.collected += 1
+        got = super().collect_at_server(expected_ids)
+        if self.collected == self.round_no:
+            got.append(self.msg)
+        return got
+
+
+class TestRoundChecks:
+    def test_eigenvalue_message_in_round_one(self):
+        _, clients, server = _session_pieces(m=2)
+        stray = EigenvalueMessage("c2", np.eye(1))
+        with pytest.raises(SessionError, match=r"c2.*round 1.*'type'"):
+            run_federated_session(clients, server, _InjectingTransport(1, stray))
+
+    def test_projector_message_in_round_two(self):
+        _, clients, server = _session_pieces(m=2)
+        clients = clients[:1]
+        stray = clients[0].projector()
+        with pytest.raises(SessionError, match=r"c0.*round 2.*'type'"):
+            run_federated_session(clients, server, _InjectingTransport(2, stray))
+
+    def test_broadcast_on_the_uplink(self):
+        _, clients, server = _session_pieces(m=2)
+        stray = BroadcastMessage(clients[0].projector().u_hat)
+        with pytest.raises(SessionError, match=r"round 1.*'type'"):
+            run_federated_session(clients, server, _InjectingTransport(1, stray))
+
+    def test_client_off_the_roster(self):
+        _, clients, server = _session_pieces(m=3)
+        stray = clients[2].projector()
+        with pytest.raises(SessionError, match=r"c2.*round 1.*'client_id'"):
+            run_federated_session(clients[:2], server, _InjectingTransport(1, stray))
+
+    def test_round_one_dropout_cannot_answer_round_two(self):
+        _, clients, server = _session_pieces(m=3)
+        clients[1].responsive = False
+        stray = EigenvalueMessage("c1", np.eye(1))
+        with pytest.raises(SessionError, match=r"c1.*round 2.*'client_id'"):
+            run_federated_session(
+                clients, server, _InjectingTransport(2, stray), allow_dropout=True
+            )
+
+
+class TestFraming:
+    def test_large_frame_arrives_byte_identical(self):
+        payload = bytes(range(256)) * 4099  # ~1 MB, more than one recv's worth
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(10.0)
+            sender = threading.Thread(target=_send_frame, args=(a, payload))
+            sender.start()
+            got = _recv_frame(b)
+            sender.join(timeout=10.0)
+        assert not sender.is_alive()
+        assert bytes(got) == payload
+
+    def test_frame_cut_short_reads_as_closed(self):
+        a, b = socket.socketpair()
+        with b:
+            a.sendall(struct.pack(">I", 10) + b"abc")
+            a.close()
+            assert _recv_frame(b) is None
+
+    def test_oversized_length_prefix_is_refused(self):
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(struct.pack(">I", 2**32 - 1))
+            with pytest.raises(MessageDecodeError, match="frame length 4294967295"):
+                _recv_frame(b)
