@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import os
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -217,8 +219,13 @@ def _make_datasets(
     sweep_index: int,
     rep: int,
     held: dict,
+    pairing: _PairingCheck | None,
 ) -> list[Dataset]:
-    """The clients' datasets of one cell; draws already in ``held`` are reused."""
+    """The clients' datasets of one cell; draws already in ``held`` are reused.
+
+    Each fresh draw is handed to ``pairing``, which digests it while the
+    next one is drawn.
+    """
     if spec.scenario == "fixed_total":
         # One pooled draw per replication, partitioned among the clients, so
         # sweeps over m compare partitions of identical data.
@@ -237,9 +244,14 @@ def _make_datasets(
             if _sweep_in_data_seed(spec)
             else ("data", rep, j)
         )
-        datasets.append(
-            _drawn(spec, held, labels, lambda seed: sample(model, n_j, seed, f"c{j:03d}"))
-        )
+
+        def draw(seed):
+            d = sample(model, n_j, seed, f"c{j:03d}")
+            if pairing is not None:
+                pairing.drawn(d)
+            return d
+
+        datasets.append(_drawn(spec, held, labels, draw))
     return datasets
 
 
@@ -264,32 +276,46 @@ def _client_configs(
     return cfgs
 
 
-def _digest(datasets: list[Dataset]) -> tuple[str, ...]:
-    """One blake2b digest of each dataset's samples, in order."""
-    out = []
-    for d in datasets:
-        h = hashlib.blake2b(digest_size=16)
-        h.update(np.ascontiguousarray(d.samples))
-        out.append(h.hexdigest())
-    return tuple(out)
+def _sha256(d: Dataset) -> str:
+    return hashlib.sha256(np.ascontiguousarray(d.samples)).hexdigest()
+
+
+def _digest(datasets: list[Dataset], pool: ThreadPoolExecutor) -> tuple[str, ...]:
+    """One sha256 digest of each dataset's samples, in order, hashed on ``pool``.
+
+    hashlib releases the GIL while it hashes, so the datasets hash in parallel.
+    """
+    return tuple(pool.map(_sha256, datasets))
 
 
 class _PairingCheck:
     """Guards the data that the methods share against writes.
 
     Each dataset is digested when it is first handed to the methods and again
-    when the run lets go of it; the two digests must agree.
+    when the run lets go of it; the two digests must agree. The hashing runs
+    on a pool of one thread per core: a freshly drawn dataset is hashed while
+    the next one is drawn, and ``hand_out`` waits for every digest of its cell
+    before the methods see the data. ``close`` stops the pool.
     """
 
     def __init__(self):
-        self._live: dict = {}  # id(dataset) -> (dataset, digest at hand-out)
+        self._pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="fedspike-digest")
+        self._live: dict = {}  # id(dataset) -> (dataset, future of its hand-out digest)
+
+    def drawn(self, d: Dataset) -> None:
+        """Start the hand-out digest of a dataset that was just drawn."""
+        self._live[id(d)] = (d, self._pool.submit(_sha256, d))
 
     def hand_out(self, datasets: list[Dataset]) -> tuple[str, ...]:
-        """The digests of a cell's datasets, taking those of new datasets."""
-        new = [d for d in datasets if id(d) not in self._live]
-        if new:
-            self._live.update((id(d), (d, dig)) for d, dig in zip(new, _digest(new)))
-        return tuple(self._live[id(d)][1] for d in datasets)
+        """The digests of a cell's datasets, once every one of them is taken.
+
+        Datasets that ``_make_datasets`` did not draw, such as fixed_total's
+        partitions, are digested here.
+        """
+        for d in datasets:
+            if id(d) not in self._live:
+                self.drawn(d)
+        return tuple(self._live[id(d)][1].result() for d in datasets)
 
     def release(self, held: dict, where: str) -> None:
         """Check the datasets that ``held`` no longer holds, then forget them."""
@@ -297,13 +323,16 @@ class _PairingCheck:
         gone = [d for key, (d, _) in self._live.items() if key not in kept]
         if not gone:
             return
-        for d, after in zip(gone, _digest(gone)):
-            if self._live.pop(id(d))[1] != after:
+        for d, after in zip(gone, _digest(gone, self._pool)):
+            if self._live.pop(id(d))[1].result() != after:
                 raise RuntimeError(
                     f"paired-seed violation in {where}: the data of client "
                     f"{d.client_id} changed after it was drawn; a method wrote "
                     "into data that other methods share"
                 )
+
+    def close(self) -> None:
+        self._pool.shutdown(cancel_futures=True)
 
 
 def _oja_config(spec: ExperimentSpec) -> OjaConfig:
@@ -370,11 +399,13 @@ def run_scenario(
     held (one cell's in heterogeneous). Records come out in (sweep point,
     replication, method) order.
 
-    With ``verify_pairing`` each dataset is digested when it is drawn and
-    again after the last cell that uses it; a mismatch (a method wrote into
-    shared data) raises ``RuntimeError`` naming the replication and the
-    client. ``data_digests`` maps each (sweep index, replication) cell to
-    the digests of its clients' datasets.
+    With ``verify_pairing`` each dataset is digested (sha256) when it is
+    drawn and again after the last cell that uses it; a mismatch (a method
+    wrote into shared data) raises ``RuntimeError`` naming the replication
+    and the client. The digests are taken on one helper thread per core,
+    which is stopped before this returns; without ``verify_pairing`` no
+    thread is started. ``data_digests`` maps each (sweep index, replication)
+    cell to the digests of its clients' datasets.
     """
     values = sweep_values(spec)
     for sweep_index, sv in enumerate(values):
@@ -387,52 +418,54 @@ def run_scenario(
 
     cells = [[[] for _ in range(spec.replications)] for _ in values]
     digests: dict = {}
-    pairing = _PairingCheck()
-    for rep in range(spec.replications):
-        held: dict = {}  # this replication's draws, keyed by seed labels
-        for sweep_index, sv in enumerate(values):
-            rep_seed = derive_seed(spec.base_seed, spec.scenario, "rep", sweep_index, rep)
-            layout = client_layout(spec, sv, sweep_index, rep)
-            model = _make_model(spec, sweep_index, rep, held)
-            datasets = _make_datasets(spec, model, layout, sweep_index, rep, held)
-            cfgs = _client_configs(spec, layout, sweep_index, rep)
-            if verify_pairing:
-                digests[(sweep_index, rep)] = pairing.hand_out(datasets)
-            truth = covariance_matrix(model)
-            for method in spec.methods:
-                t0 = time.perf_counter()
-                u_hat, sigma_hat = _run_method(
-                    method, spec, datasets, layout, cfgs, sweep_index, rep
-                )
-                wall_ms = (time.perf_counter() - t0) * 1000.0
-                cov_err = None
-                if sigma_hat is not None:
-                    cov_err = float(np.linalg.norm(sigma_hat - truth, "fro"))
-                cells[sweep_index][rep].append(
-                    RunRecord(
-                        scenario=spec.scenario,
-                        method=method,
-                        sweep_value=float(sv),
-                        replication=rep,
-                        projection_error=projection_distance(u_hat, model.basis_u),
-                        cov_frobenius_error=cov_err,
-                        wall_ms=wall_ms,
-                        seed=rep_seed,
+    pairing = _PairingCheck() if verify_pairing else None
+    try:
+        for rep in range(spec.replications):
+            held: dict = {}  # this replication's draws, keyed by seed labels
+            for sweep_index, sv in enumerate(values):
+                rep_seed = derive_seed(spec.base_seed, spec.scenario, "rep", sweep_index, rep)
+                layout = client_layout(spec, sv, sweep_index, rep)
+                model = _make_model(spec, sweep_index, rep, held)
+                datasets = _make_datasets(spec, model, layout, sweep_index, rep, held, pairing)
+                cfgs = _client_configs(spec, layout, sweep_index, rep)
+                if pairing is not None:
+                    digests[(sweep_index, rep)] = pairing.hand_out(datasets)
+                truth = covariance_matrix(model)
+                for method in spec.methods:
+                    t0 = time.perf_counter()
+                    u_hat, sigma_hat = _run_method(
+                        method, spec, datasets, layout, cfgs, sweep_index, rep
                     )
-                )
-            if _sweep_in_data_seed(spec):
-                held.clear()  # the next sweep point draws its own data
-            if verify_pairing:
-                pairing.release(held, f"replication {rep} at sweep {sv}")
-        held.clear()
-        if verify_pairing:
-            pairing.release(held, f"replication {rep}")
+                    wall_ms = (time.perf_counter() - t0) * 1000.0
+                    cov_err = None
+                    if sigma_hat is not None:
+                        cov_err = float(np.linalg.norm(sigma_hat - truth, "fro"))
+                    cells[sweep_index][rep].append(
+                        RunRecord(
+                            scenario=spec.scenario,
+                            method=method,
+                            sweep_value=float(sv),
+                            replication=rep,
+                            projection_error=projection_distance(u_hat, model.basis_u),
+                            cov_frobenius_error=cov_err,
+                            wall_ms=wall_ms,
+                            seed=rep_seed,
+                        )
+                    )
+                if _sweep_in_data_seed(spec):
+                    held.clear()  # the next sweep point draws its own data
+                if pairing is not None:
+                    pairing.release(held, f"replication {rep} at sweep {sv}")
+            held.clear()
+            if pairing is not None:
+                pairing.release(held, f"replication {rep}")
+    finally:
+        if pairing is not None:
+            pairing.close()
 
     records = [rec for row in cells for cell in row for rec in cell]
     result = ScenarioResult(spec=spec, records=records, data_digests=digests)
     if out_dir is not None:
-        import os
-
         os.makedirs(out_dir, exist_ok=True)
         result.csv_path = os.path.join(out_dir, f"{spec.scenario}.csv")
         write_records_csv(records, result.csv_path)

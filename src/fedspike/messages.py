@@ -111,12 +111,15 @@ def _fmt_float(x: float) -> str:
     x = float(x)
     if not math.isfinite(x):
         raise MessageError("cannot encode non-finite float")
-    return format(x, ".17g")
+    if x:
+        return format(x, ".17g")
+    # "-0" would parse as the integer 0 and lose the sign.
+    return "-0.0" if math.copysign(1.0, x) < 0 else "0"
 
 
 def _fmt_matrix(a: np.ndarray) -> str:
     rows, cols = a.shape
-    data = ",".join(_fmt_float(v) for v in a.ravel(order="C"))
+    data = ",".join(map(_fmt_float, a.ravel(order="C").tolist()))
     return f'{{"rows":{rows},"cols":{cols},"data":[{data}]}}'
 
 
@@ -161,19 +164,30 @@ def _take(obj: dict, key: str):
     return obj[key]
 
 
+def _number(obj: dict, key: str, kind: type):
+    raw = _take(obj, key)
+    try:
+        return kind(raw)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MessageDecodeError(f"field {key!r} is not a valid {kind.__name__}: {exc}") from exc
+
+
 def _parse_matrix(obj: dict, key: str) -> np.ndarray:
     raw = _take(obj, key)
     if not isinstance(raw, dict):
         raise MessageDecodeError(f"field {key!r} must be a matrix object")
     try:
         rows, cols, data = int(raw["rows"]), int(raw["cols"]), raw["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise MessageDecodeError(f"field {key!r} has a malformed matrix header") from exc
     if not isinstance(data, list) or rows * cols != len(data):
         raise MessageDecodeError(
             f"field {key!r}: rows*cols = {rows * cols} does not match data length"
         )
-    return np.array(data, dtype=float).reshape(rows, cols)
+    try:
+        return np.array(data, dtype=float).reshape(rows, cols)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise MessageDecodeError(f"field {key!r} holds malformed matrix data: {exc}") from exc
 
 
 def decode(blob: bytes):
@@ -185,8 +199,10 @@ def decode(blob: bytes):
     """
     try:
         obj = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer of over 4300 digits
         raise MessageDecodeError(f"malformed message bytes: {exc}") from exc
+    except RecursionError as exc:
+        raise MessageDecodeError("malformed message bytes: JSON nested too deeply") from exc
     if not isinstance(obj, dict):
         raise MessageDecodeError("message must decode to a JSON object")
     kind = _take(obj, "type")
@@ -200,9 +216,9 @@ def decode(blob: bytes):
             return ProjectorMessage(
                 client_id=_take(obj, "client_id"),
                 u_hat=_parse_matrix(obj, "u_hat"),
-                n=int(_take(obj, "n")),
-                epsilon=float(_take(obj, "epsilon")),
-                delta=float(_take(obj, "delta")),
+                n=_number(obj, "n", int),
+                epsilon=_number(obj, "epsilon", float),
+                delta=_number(obj, "delta", float),
                 warning=obj.get("warning"),
             )
         if kind == "broadcast":

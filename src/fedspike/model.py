@@ -123,7 +123,10 @@ def sample(model: SpikedModel, n: int, seed: int, client_id: str | None = None) 
     """n i.i.d. zero-mean Gaussian observations with the model covariance.
 
     Draw order is fixed (spike coefficients first, then the isotropic part)
-    so a given seed yields a bit-identical dataset.
+    so a given seed yields a bit-identical dataset. The isotropic draw is
+    scaled and summed in place; IEEE products and sums commute, so this is
+    bit-identical to ``U (scale g) + sqrt(noise_var) z`` and allocates two
+    p x n temporaries fewer.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -131,8 +134,9 @@ def sample(model: SpikedModel, n: int, seed: int, client_id: str | None = None) 
     g = rng.standard_normal((model.rank_r, n))
     z = rng.standard_normal((model.dim_p, n))
     scale = np.sqrt(model.spike_eigenvalues)[:, None]
-    x = model.basis_u @ (scale * g) + np.sqrt(model.noise_var) * z
-    return Dataset(x, client_id)
+    z *= np.sqrt(model.noise_var)
+    z += model.basis_u @ (scale * g)
+    return Dataset(z, client_id)
 
 
 def projection_distance(u1: np.ndarray, u2: np.ndarray) -> float:

@@ -232,6 +232,13 @@ def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(struct.pack(">I", len(payload)) + payload)
 
 
+def _shutdown(sock: socket.socket) -> None:
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:  # not connected, or the peer already closed
+        pass
+
+
 def _recv_exact(sock: socket.socket, count: int) -> bytearray | None:
     buf = bytearray(count)
     view = memoryview(buf)
@@ -258,10 +265,13 @@ def _recv_frame(sock: socket.socket) -> bytearray | None:
 class TcpTransport:
     """Length-prefixed JSON frames over localhost TCP.
 
-    A background thread accepts one connection per client and drains
-    incoming frames into a queue; the server pushes the broadcast down the
-    same connections. Clients are matched to connections by the client_id
-    of their first frame.
+    A background thread accepts one connection per client and a reader
+    thread per connection drains its frames into a queue; the server pushes
+    the broadcast down the same connections. Clients are matched to
+    connections by the client_id of their first frame. A frame that does not
+    decode ends its reader and fails the round at once, naming the client
+    where an earlier frame named it. ``close`` shuts every connection and
+    waits for the readers.
     """
 
     name = "tcp"
@@ -275,13 +285,18 @@ class TcpTransport:
         self._listener = socket.create_server((self.host, self.port))
         self.port = self._listener.getsockname()[1]
         self._inbox: queue.Queue = queue.Queue()
-        self._server_conns: dict[str, socket.socket] = {}
         self._client_socks: dict[str, socket.socket] = {}
+        # The lock guards the three collections below; ``_stop`` is set under
+        # it, so no reader starts after ``close`` has taken its list.
+        self._lock = threading.Lock()
+        self._accepted: list[socket.socket] = []
+        self._readers: list[threading.Thread] = []
+        self._server_conns: dict[str, socket.socket] = {}
         self._stop = threading.Event()
-        self._threads = []
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name="fedspike-tcp-accept", daemon=True
+        )
+        self._acceptor.start()
 
     def _accept_loop(self) -> None:
         self._listener.settimeout(0.1)
@@ -292,22 +307,39 @@ class TcpTransport:
                 continue
             except OSError:
                 return
-            t = threading.Thread(target=self._read_loop, args=(conn,), daemon=True)
-            t.start()
-            self._threads.append(t)
+            with self._lock:
+                if self._stop.is_set():
+                    conn.close()
+                    return
+                t = threading.Thread(
+                    target=self._read_loop, args=(conn,), name="fedspike-tcp-reader", daemon=True
+                )
+                self._accepted.append(conn)
+                self._readers.append(t)
+                t.start()
 
     def _read_loop(self, conn: socket.socket) -> None:
+        sender = None
+        round_no = 0  # a client sends one frame per round, so frame k is round k
         while not self._stop.is_set():
+            round_no += 1
             try:
                 payload = _recv_frame(conn)
+                if payload is None:
+                    return
+                msg = decode(payload)
             except OSError:
                 return
-            if payload is None:
+            except MessageDecodeError as exc:
+                who = f"client {sender!r}" if sender else "a client not yet identified"
+                err = SessionError(f"round {round_no}: {who} sent an undecodable frame: {exc}")
+                err.__cause__ = exc
+                self._inbox.put(err)
                 return
-            msg = decode(payload)
             sender = getattr(msg, "client_id", None)
             if sender is not None:
-                self._server_conns.setdefault(sender, conn)
+                with self._lock:
+                    self._server_conns.setdefault(sender, conn)
             self._inbox.put(msg)
 
     def _client_sock(self, client_id: str) -> socket.socket:
@@ -328,15 +360,19 @@ class TcpTransport:
             if remaining <= 0:
                 break
             try:
-                out.append(self._inbox.get(timeout=min(remaining, 0.1)))
+                item = self._inbox.get(timeout=min(remaining, 0.1))
             except queue.Empty:
                 continue
+            if isinstance(item, SessionError):  # a reader's decode failure
+                raise item
+            out.append(item)
         return out
 
     def broadcast_from_server(self, msg: BroadcastMessage, client_ids: list[str]) -> None:
         payload = encode(msg)
         for cid in client_ids:
-            conn = self._server_conns.get(cid)
+            with self._lock:
+                conn = self._server_conns.get(cid)
             if conn is None:
                 raise SessionError(f"no connection for client {cid}")
             _send_frame(conn, payload)
@@ -353,16 +389,27 @@ class TcpTransport:
         return msg
 
     def close(self) -> None:
-        self._stop.set()
+        with self._lock:
+            self._stop.set()
         for sock in self._client_socks.values():
             try:
                 sock.close()
             except OSError:
                 pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        # Shutdown wakes a thread blocked in accept or recv on the socket. The
+        # descriptors are closed only after those threads are gone, so none is
+        # reused while a thread may still read it.
+        deadline = time.monotonic() + self.timeout
+        _shutdown(self._listener)
+        self._acceptor.join(max(0.0, deadline - time.monotonic()))
+        with self._lock:
+            accepted, readers = list(self._accepted), list(self._readers)
+        for conn in accepted:
+            _shutdown(conn)
+        for t in readers:
+            t.join(max(0.0, deadline - time.monotonic()))
+        for sock in [self._listener, *accepted]:
+            sock.close()
 
 
 # ---------------------------------------------------------------------------

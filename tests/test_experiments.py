@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from conftest import make_model
@@ -289,6 +291,8 @@ def test_golden_records(scenario):
 def test_digests_regenerate_from_the_seeds(scenario):
     """Each cell's data_digests entry is the digest of the datasets that the
     documented seed labels produce, drawn afresh."""
+    from concurrent.futures import ThreadPoolExecutor
+
     from fedspike import SpikedModel, random_orthonormal
     from fedspike.experiments import _digest
     from fedspike.rng import derive_seed
@@ -306,7 +310,8 @@ def test_digests_regenerate_from_the_seeds(scenario):
             sample(model, spec.n, derive_seed(spec.base_seed, scenario, "data", rep, j), f"c{j:03d}")
             for j in range(m)
         ]
-        assert entry == _digest(datasets)
+        with ThreadPoolExecutor(1) as pool:
+            assert entry == _digest(datasets, pool)
 
 
 @pytest.mark.parametrize(
@@ -350,6 +355,55 @@ def test_pairing_check_names_replication_and_client(scenario, monkeypatch):
     spec = default_spec(scenario, **GOLDEN_SPECS[scenario])
     with pytest.raises(RuntimeError, match=r"replication 0\b.*client c001"):
         run_scenario(spec, verify_pairing=True)
+
+
+def test_pairing_check_sees_a_write_in_the_first_method(monkeypatch):
+    """Every hand-out digest is complete before the first method runs.
+
+    The first method of the first cell writes at once into the last entry of
+    the dataset drawn last. A hand-out digest still in flight would read the
+    written value and agree with the digest at release.
+    """
+    from fedspike import experiments
+
+    original = experiments._run_method
+    calls = []
+
+    def tampering(method, spec, datasets, *args):
+        if not calls:
+            x = datasets[-1].samples
+            x.flags.writeable = True
+            x[-1, -1] += 1.0
+        calls.append(method)
+        return original(method, spec, datasets, *args)
+
+    monkeypatch.setattr(experiments, "_run_method", tampering)
+    spec = default_spec(
+        "privacy_utility", m=2, n=40_000, eps_grid=(0.5,), replications=1, methods=("fedspike",)
+    )
+    before = set(threading.enumerate())
+    with pytest.raises(RuntimeError, match=r"replication 0\b.*client c001"):
+        run_scenario(spec, verify_pairing=True)
+    assert [t for t in threading.enumerate() if t not in before] == []
+
+
+@pytest.mark.parametrize("verify_pairing", [True, False])
+def test_digest_threads_live_only_while_the_run_checks_pairing(verify_pairing, monkeypatch):
+    from fedspike import experiments
+
+    pools = []
+    original = experiments.ThreadPoolExecutor
+
+    def recording(*args, **kwargs):
+        pools.append(original(*args, **kwargs))
+        return pools[-1]
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
+    before = set(threading.enumerate())
+    spec = default_spec("privacy_utility", **GOLDEN_SPECS["privacy_utility"])
+    run_scenario(spec, verify_pairing=verify_pairing)
+    assert len(pools) == int(verify_pairing)
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 class TestEstimatePlugins:

@@ -2,6 +2,7 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -105,6 +106,25 @@ class TestCodec:
         object.__setattr__(msg, "epsilon", float("nan"))
         with pytest.raises(MessageError):
             encode(msg)
+
+    def test_overflowing_count_names_the_field(self):
+        blob = encode(_projector_msg()).replace(b'"n":120', b'"n":1e400')
+        with pytest.raises(MessageDecodeError, match="field 'n'"):
+            decode(blob)
+
+    def test_overflowing_matrix_header_names_the_field(self):
+        blob = encode(_projector_msg(p=3, r=1)).replace(b'"rows":3', b'"rows":1e400')
+        with pytest.raises(MessageDecodeError, match="field 'u_hat'"):
+            decode(blob)
+
+    def test_deep_nesting_is_refused(self):
+        with pytest.raises(MessageDecodeError, match="nested too deeply"):
+            decode(b"[" * 200_000)
+
+    def test_negative_zero_keeps_its_sign(self):
+        lam = np.array([[-0.0, 0.0], [0.0, 2.5]])
+        back = decode(encode(EigenvalueMessage("c1", lam))).lambda_hat
+        assert back.tobytes() == lam.tobytes()
 
     def test_reserved_client_id(self):
         from fedspike import random_orthonormal
@@ -216,6 +236,46 @@ class TestSession:
             clients, server, InProcessTransport(), allow_dropout=True
         )
         np.testing.assert_allclose(result.weights.pca_w, [0.5 / 0.7, 0.2 / 0.7])
+
+
+class _GarbageTcp(TcpTransport):
+    """TCP transport on which one client sends undecodable bytes in one round."""
+
+    def __init__(self, client_id, round_no, **kwargs):
+        super().__init__(**kwargs)
+        self.garbled = (client_id, round_no)
+
+    def send_from_client(self, client_id, msg):
+        if (client_id, msg.round) == self.garbled:
+            _send_frame(self._client_sock(client_id), b"\xffnot a message")
+        else:
+            super().send_from_client(client_id, msg)
+
+
+class TestTcpFailures:
+    @pytest.mark.parametrize(
+        "round_no, who", [(1, "a client not yet identified"), (2, "client 'c1'")]
+    )
+    def test_undecodable_frame_fails_the_round_at_once(self, round_no, who):
+        _, clients, server = _session_pieces(m=3)
+        transport = _GarbageTcp("c1", round_no, timeout=10.0)
+        t0 = time.monotonic()
+        with pytest.raises(SessionError, match=rf"round {round_no}: {who} sent an undecodable"):
+            run_federated_session(clients, server, transport)
+        assert time.monotonic() - t0 < 2.0
+
+    @pytest.mark.parametrize("garbled", [None, ("c1", 2)])
+    def test_no_thread_outlives_the_session(self, garbled):
+        _, clients, server = _session_pieces(m=3)
+        transport = TcpTransport() if garbled is None else _GarbageTcp(*garbled)
+        before = set(threading.enumerate())
+        try:
+            run_federated_session(clients, server, transport)
+        except SessionError:
+            assert garbled is not None
+        assert [t for t in threading.enumerate() if t not in before] == []
+        assert len(transport._accepted) == 3
+        assert all(conn.fileno() == -1 for conn in transport._accepted)
 
 
 class _InjectingTransport(InProcessTransport):
