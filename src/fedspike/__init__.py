@@ -55,9 +55,7 @@ from .rates import (
     cov_bound,
     is_admissible,
     pca_bound,
-    psi0,
     psi0_tilde,
-    psi1,
     psi1_tilde,
 )
 from .server import (

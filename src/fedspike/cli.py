@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
 from .experiments import (
     SCENARIOS,
+    ExperimentSpec,
     RealdataSpec,
     default_spec,
     mean_errors,
@@ -34,7 +36,6 @@ def _add_simulate(sub):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--methods", type=_parse_methods, default=None, help="comma-separated")
     p.add_argument("--config", default=None, help="JSON file of ExperimentSpec overrides")
-    p.add_argument("--weights-as-printed", action="store_true")
     p.add_argument("--no-svg", action="store_true")
     p.add_argument(
         "--sensitivity-check",
@@ -70,13 +71,14 @@ def _cmd_simulate(args) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides.update(json.load(fh))
+        unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ExperimentSpec)})
+        if unknown:
+            raise SystemExit(f"simulate config has unknown keys: {', '.join(unknown)}")
     overrides.pop("scenario", None)  # the flag wins
     overrides["replications"] = args.reps
     overrides["base_seed"] = args.seed
     if args.methods:
         overrides["methods"] = args.methods
-    if args.weights_as_printed:
-        overrides["weights_as_printed"] = True
     # listify JSON arrays into tuples for the frozen spec
     for key, value in list(overrides.items()):
         if isinstance(value, list):

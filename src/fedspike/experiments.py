@@ -25,13 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .client import (
-    ClientConfig,
-    local_private_eigenvalues,
-    local_private_projector,
-    local_raw_noisy_projector,
-)
-from .messages import ProjectorMessage
+from .client import ClientConfig, local_raw_noisy_projector
 from .model import (
     Dataset,
     SpikedModel,
@@ -49,7 +43,7 @@ from .protocol import (
     run_federated_session,
 )
 from .rng import derive_seed, rng_from
-from .server import aggregate_projectors, aggregate_reference, assemble_covariance, pca_weights
+from .server import aggregate_reference, pca_weights
 from .spectral import explained_variance, sym_eig
 from .svgplot import render_line_plot
 
@@ -90,7 +84,6 @@ class ExperimentSpec:
     small_mult: int = 2
     large_mult: int = 20
     # knobs
-    weights_as_printed: bool = False
     oja_step0: float = 1.0
     oja_decay: float = 1.0
     oja_passes: int = 1
@@ -355,8 +348,11 @@ def _run_method(
     sweep_index: int,
     rep: int,
 ):
-    """Produce (u_hat, cov_frobenius_error or None) for one method."""
-    params = [(n, e, d) for n, e, d in layout]
+    """Produce (u_hat, sigma_hat or None) for one method.
+
+    ``fedspike`` and ``equal`` run the two-round session in process, with
+    the optimal and the equal weight scheme.
+    """
     if method == "oja":
         budgets = [PrivacyBudget(e, d) for _, e, d in layout]
         u_hat = fed_dp_oja(
@@ -368,19 +364,17 @@ def _run_method(
         return u_hat, None
     if method == "reference":
         raws = [local_raw_noisy_projector(d, cfg) for d, cfg in zip(datasets, cfgs)]
-        w = pca_weights(params, spec.p, spec.r, spec.lam, spec.sigma2, scheme="equal")
+        w = pca_weights(layout, spec.p, spec.r, spec.lam, spec.sigma2, scheme="equal")
         return aggregate_reference(raws, w, spec.r), None
-    scheme = "equal" if method == "equal" else "optimal"
-    msgs = [local_private_projector(d, cfg) for d, cfg in zip(datasets, cfgs)]
-    weights = pca_weights(
-        params, spec.p, spec.r, spec.lam, spec.sigma2, scheme, spec.weights_as_printed
+    server = ServerHandle(
+        rank_r=spec.r,
+        sigma2=spec.sigma2,
+        lam=spec.lam,
+        scheme="equal" if method == "equal" else "optimal",
     )
-    u_hat = aggregate_projectors(msgs, weights)
-    eig_msgs = [
-        local_private_eigenvalues(d, u_hat, cfg) for d, cfg in zip(datasets, cfgs)
-    ]
-    sigma_hat = assemble_covariance(u_hat, eig_msgs, weights, spec.sigma2)
-    return u_hat, sigma_hat
+    handles = [ClientHandle(d, cfg) for d, cfg in zip(datasets, cfgs)]
+    session = run_federated_session(handles, server, InProcessTransport())
+    return session.u_hat, session.sigma_hat
 
 
 def run_scenario(
@@ -669,22 +663,22 @@ def run_realdata(matrix_csv, spec: RealdataSpec) -> list[dict]:
             RateInputs(data.n_samples, spec.epsilon, spec.delta, p, r, lam_use, sig_use)
         )
 
-    weights = weights_from_rate_inputs(rate_inputs, scheme="optimal")
-    sigma2_server = float(np.dot(weights.cov_v, [c.sigma2_plugin for c in cfgs]))
+    # Each weighted method runs its own in-process session. The clients'
+    # releases are seeded, so both sessions see the same round-1 messages.
+    weights = {
+        "fedspike": weights_from_rate_inputs(rate_inputs, scheme="optimal"),
+        "equal": weights_from_rate_inputs(rate_inputs, scheme="equal"),
+    }
+    sigma2_server = float(np.dot(weights["fedspike"].cov_v, [c.sigma2_plugin for c in cfgs]))
     handles = [ClientHandle(d, cfg) for d, cfg in zip(datasets, cfgs)]
-    server = ServerHandle(rank_r=r, sigma2=sigma2_server, weights=weights)
-    session = run_federated_session(
-        handles, server, InProcessTransport(), allow_dropout=spec.allow_dropout
-    )
-    proj_msgs = [m for m in session.transcript if isinstance(m, ProjectorMessage)]
 
     report = []
     for method in spec.methods:
-        if method == "fedspike":
-            u_hat = session.u_hat
-        elif method == "equal":
-            equal = weights_from_rate_inputs(rate_inputs, scheme="equal")
-            u_hat = aggregate_projectors(proj_msgs, equal)
+        if method in weights:
+            server = ServerHandle(rank_r=r, sigma2=sigma2_server, weights=weights[method])
+            u_hat = run_federated_session(
+                handles, server, InProcessTransport(), allow_dropout=spec.allow_dropout
+            ).u_hat
         else:
             lam_bar = float(np.mean([c.lambda_plugin for c in cfgs]))
             sig_bar = float(np.mean([c.sigma2_plugin for c in cfgs]))

@@ -164,29 +164,52 @@ def _take(obj: dict, key: str):
     return obj[key]
 
 
-def _number(obj: dict, key: str, kind: type):
+def _integer(raw, where: str) -> int:
+    """A JSON integer; bools and floats are refused."""
+    if type(raw) is not int:
+        raise MessageDecodeError(f"{where} must be an integer, not {type(raw).__name__}")
+    return raw
+
+
+def _finite(obj: dict, key: str) -> float:
+    """A finite JSON number (an integer too: 1.0 is sent as ``1``)."""
     raw = _take(obj, key)
+    if type(raw) not in (int, float):
+        raise MessageDecodeError(f"field {key!r} must be a number, not {type(raw).__name__}")
     try:
-        return kind(raw)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise MessageDecodeError(f"field {key!r} is not a valid {kind.__name__}: {exc}") from exc
+        value = float(raw)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise MessageDecodeError(f"field {key!r} must be finite")
+    return value
+
+
+def _warning(obj: dict) -> str | None:
+    raw = obj.get("warning")
+    if "warning" in obj and not isinstance(raw, str):
+        raise MessageDecodeError(f"field 'warning' must be a string, not {type(raw).__name__}")
+    return raw
 
 
 def _parse_matrix(obj: dict, key: str) -> np.ndarray:
     raw = _take(obj, key)
-    if not isinstance(raw, dict):
+    if not isinstance(raw, dict) or not {"rows", "cols", "data"} <= raw.keys():
         raise MessageDecodeError(f"field {key!r} must be a matrix object")
-    try:
-        rows, cols, data = int(raw["rows"]), int(raw["cols"]), raw["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise MessageDecodeError(f"field {key!r} has a malformed matrix header") from exc
+    rows = _integer(raw["rows"], f"field {key!r}: rows")
+    cols = _integer(raw["cols"], f"field {key!r}: cols")
+    data = raw["data"]
+    if rows < 1 or cols < 1:
+        raise MessageDecodeError(f"field {key!r}: rows and cols must be at least 1")
     if not isinstance(data, list) or rows * cols != len(data):
         raise MessageDecodeError(
             f"field {key!r}: rows*cols = {rows * cols} does not match data length"
         )
+    if not set(map(type, data)) <= {int, float}:
+        raise MessageDecodeError(f"field {key!r}: matrix data must be numbers")
     try:
         return np.array(data, dtype=float).reshape(rows, cols)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except OverflowError as exc:
         raise MessageDecodeError(f"field {key!r} holds malformed matrix data: {exc}") from exc
 
 
@@ -207,7 +230,7 @@ def decode(blob: bytes):
         raise MessageDecodeError("message must decode to a JSON object")
     kind = _take(obj, "type")
     version = _take(obj, "schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise MessageDecodeError(
             f"schema_version mismatch: got {version!r}, expected {SCHEMA_VERSION}"
         )
@@ -216,10 +239,10 @@ def decode(blob: bytes):
             return ProjectorMessage(
                 client_id=_take(obj, "client_id"),
                 u_hat=_parse_matrix(obj, "u_hat"),
-                n=_number(obj, "n", int),
-                epsilon=_number(obj, "epsilon", float),
-                delta=_number(obj, "delta", float),
-                warning=obj.get("warning"),
+                n=_integer(_take(obj, "n"), "field 'n'"),
+                epsilon=_finite(obj, "epsilon"),
+                delta=_finite(obj, "delta"),
+                warning=_warning(obj),
             )
         if kind == "broadcast":
             return BroadcastMessage(u_hat_global=_parse_matrix(obj, "u_hat_global"))

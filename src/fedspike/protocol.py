@@ -1,10 +1,9 @@
-"""Two-round federated exchange: message schema, codec, and transports.
+"""Two-round federated exchange: participants, transports, and the session.
 
 Round 1 sends privatized projector frames client -> server, the server
 broadcasts the aggregated frame, and round 2 sends privatized eigenvalue
-blocks client -> server. Messages travel as UTF-8 JSON objects; matrices
-are ``{"rows": .., "cols": .., "data": [..]}`` with row-major doubles
-rendered at 17 significant digits, so decode(encode(m)) is bit-exact.
+blocks client -> server. Messages travel in the bit-exact JSON encoding of
+``fedspike.messages``.
 
 Three interchangeable transports are provided: in-process (plain object
 hand-off), file exchange (one ``{round}_{client_id}.msg`` file per message
@@ -26,11 +25,9 @@ import numpy as np
 
 from .client import ClientConfig, local_private_eigenvalues, local_private_projector
 from .messages import (
-    SCHEMA_VERSION,
     BroadcastMessage,
     EigenvalueMessage,
     MessageDecodeError,
-    MessageError,
     ProjectorMessage,
     decode,
     encode,
@@ -44,14 +41,6 @@ from .server import (
 )
 
 __all__ = [
-    "SCHEMA_VERSION",
-    "ProjectorMessage",
-    "BroadcastMessage",
-    "EigenvalueMessage",
-    "MessageError",
-    "MessageDecodeError",
-    "encode",
-    "decode",
     "SessionError",
     "SessionResult",
     "ClientHandle",
@@ -70,10 +59,9 @@ class SessionError(RuntimeError):
 class ClientHandle:
     """One participant: its data, its configuration, and its two releases."""
 
-    def __init__(self, data: Dataset, config: ClientConfig, responsive: bool = True):
+    def __init__(self, data: Dataset, config: ClientConfig):
         self.data = data
         self.config = config
-        self.responsive = responsive  # test hook: a silent client
 
     @property
     def client_id(self) -> str:
@@ -87,7 +75,7 @@ class ClientHandle:
 
 
 class ServerHandle:
-    """Central aggregation: weight choice, projector averaging, assembly.
+    """Central aggregation settings: rank, noise level, and the weights.
 
     Weights are either computed from the (n, epsilon, delta) carried by the
     round-1 messages (needs the plug-in lam/sigma2) or supplied explicitly.
@@ -100,8 +88,6 @@ class ServerHandle:
         lam: float | None = None,
         scheme: str = "optimal",
         weights: AggregationWeights | None = None,
-        as_printed: bool = False,
-        psd_clip: bool = False,
     ):
         if weights is None and lam is None:
             raise ValueError("either explicit weights or a lam plug-in is required")
@@ -110,27 +96,11 @@ class ServerHandle:
         self.lam = lam
         self.scheme = scheme
         self.explicit_weights = weights
-        self.as_printed = as_printed
-        self.psd_clip = psd_clip
 
     def weights_for(self, msgs: list[ProjectorMessage]) -> AggregationWeights:
         if self.explicit_weights is not None:
             return self.explicit_weights
-        return weights_from_messages(
-            msgs, self.rank_r, self.lam, self.sigma2, self.scheme, self.as_printed
-        )
-
-    def aggregate(self, msgs: list[ProjectorMessage], weights: AggregationWeights) -> BroadcastMessage:
-        u_hat = aggregate_projectors(msgs, weights)
-        return BroadcastMessage(u_hat)
-
-    def assemble(
-        self,
-        u_hat: np.ndarray,
-        eig_msgs: list[EigenvalueMessage],
-        weights: AggregationWeights,
-    ) -> np.ndarray:
-        return assemble_covariance(u_hat, eig_msgs, weights, self.sigma2, self.psd_clip)
+        return weights_from_messages(msgs, self.rank_r, self.lam, self.sigma2, self.scheme)
 
 
 @dataclass
@@ -469,8 +439,7 @@ def run_federated_session(
     transport.open(ids)
     try:
         for client in clients:
-            if client.responsive:
-                transport.send_from_client(client.client_id, client.projector())
+            transport.send_from_client(client.client_id, client.projector())
         proj_msgs, missing = _expect(
             transport.collect_at_server(ids), ids, allow_dropout, 1
         )
@@ -483,15 +452,14 @@ def run_federated_session(
             # and already renormalize over responders; an explicit vector is
             # keyed to the full roster and must be restricted.
             weights = weights.restrict(responders, ids)
-        broadcast = server.aggregate(proj_msgs, weights)
+        broadcast = BroadcastMessage(aggregate_projectors(proj_msgs, weights))
         transport.broadcast_from_server(broadcast, responders)
         transcript.append(broadcast)
 
         responding = [c for c in clients if c.client_id in responders]
         for client in responding:
-            if client.responsive:
-                received = transport.receive_at_client(client.client_id)
-                transport.send_from_client(client.client_id, client.eigenvalues(received))
+            received = transport.receive_at_client(client.client_id)
+            transport.send_from_client(client.client_id, client.eigenvalues(received))
         eig_msgs, missing2 = _expect(
             transport.collect_at_server(responders), responders, allow_dropout, 2
         )
@@ -499,7 +467,7 @@ def run_federated_session(
         if missing2:
             weights = weights.restrict([m.client_id for m in eig_msgs], responders)
             responders = [m.client_id for m in eig_msgs]
-        sigma_hat = server.assemble(broadcast.u_hat_global, eig_msgs, weights)
+        sigma_hat = assemble_covariance(broadcast.u_hat_global, eig_msgs, weights, server.sigma2)
     finally:
         transport.close()
 

@@ -1,9 +1,8 @@
 """Closed-form error-rate functions and aggregate bound evaluators.
 
-Per-client rates come in two flavors: the log-factor variants (suffix
-``_tilde``) used for all algorithmic weighting, and the bare variants kept
-for documentation parity. Aggregate bounds are scaled harmonic means of
-the per-client rates, capped by the trivial-estimator level.
+Per-client rates carry the log factors (suffix ``_tilde``) and drive all
+algorithmic weighting. Aggregate bounds are scaled harmonic means of the
+per-client rates, capped by the trivial-estimator level.
 """
 
 from __future__ import annotations
@@ -61,20 +60,6 @@ def psi1_tilde(c: RateInputs) -> float:
         _log_privacy(c.delta)
     )
     return sampling + privacy
-
-
-def psi0(c: RateInputs) -> float:
-    """Log-free variant of the subspace rate."""
-    snr = c.sigma2 / c.lam
-    sq = (snr**2 + snr) * (
-        c.p * c.r / c.n + c.p**2 * c.r**2 / (c.n**2 * c.epsilon**2)
-    )
-    return math.sqrt(sq)
-
-
-def psi1(c: RateInputs) -> float:
-    """Log-free variant of the eigenvalue rate."""
-    return math.sqrt(c.r**2 / c.n + c.r**4 / (c.n**2 * c.epsilon**2))
 
 
 def _check_consistent(clients: Sequence[RateInputs]) -> None:

@@ -144,13 +144,12 @@ def weights_from_messages(
     lam: float,
     sigma2: float,
     scheme: str = "optimal",
-    as_printed: bool = False,
 ) -> AggregationWeights:
     """Weights from the (n, epsilon, delta) carried by round-1 messages."""
     ordered = _sorted_by_id(msgs)
     p = ordered[0].u_hat.shape[0]
     params = [(m.n, m.epsilon, m.delta) for m in ordered]
-    return pca_weights(params, p, r, lam, sigma2, scheme, as_printed)
+    return pca_weights(params, p, r, lam, sigma2, scheme)
 
 
 def _sorted_by_id(msgs: Sequence) -> list:
@@ -160,26 +159,16 @@ def _sorted_by_id(msgs: Sequence) -> list:
     return sorted(msgs, key=lambda m: m.client_id)
 
 
-def _pca_vector(weights) -> np.ndarray:
-    if isinstance(weights, AggregationWeights):
-        return weights.pca_w
-    return np.asarray(weights, dtype=float)
-
-
-def _cov_vector(weights) -> np.ndarray:
-    if isinstance(weights, AggregationWeights):
-        return weights.cov_v
-    return np.asarray(weights, dtype=float)
-
-
-def aggregate_projectors(msgs: Sequence[ProjectorMessage], weights) -> np.ndarray:
+def aggregate_projectors(
+    msgs: Sequence[ProjectorMessage], weights: AggregationWeights
+) -> np.ndarray:
     """Top-r frame of the weighted projector average.
 
-    Messages are sorted by client_id; weights[i] belongs to the i-th id in
-    sorted order.
+    Messages are sorted by client_id; weights.pca_w[i] belongs to the i-th
+    id in sorted order.
     """
     ordered = _sorted_by_id(msgs)
-    w = _pca_vector(weights)
+    w = weights.pca_w
     if w.size != len(ordered):
         raise ValueError(f"{len(ordered)} messages but {w.size} weights")
     p, r = ordered[0].u_hat.shape
@@ -192,13 +181,15 @@ def aggregate_projectors(msgs: Sequence[ProjectorMessage], weights) -> np.ndarra
     return svd_r(acc, r)
 
 
-def aggregate_reference(raw: Sequence[np.ndarray], weights, r: int) -> np.ndarray:
+def aggregate_reference(
+    raw: Sequence[np.ndarray], weights: AggregationWeights, r: int
+) -> np.ndarray:
     """Top-r frame of the weighted sum of raw noisy projector matrices.
 
     The raw matrices are full p x p payloads (no client-side truncation),
     so the target rank must be given; pairing with weights is positional.
     """
-    w = _pca_vector(weights)
+    w = weights.pca_w
     if w.size != len(raw):
         raise ValueError(f"{len(raw)} matrices but {w.size} weights")
     p = np.asarray(raw[0]).shape[0]
@@ -214,7 +205,7 @@ def aggregate_reference(raw: Sequence[np.ndarray], weights, r: int) -> np.ndarra
 def assemble_covariance(
     u_hat: np.ndarray,
     eig_msgs: Sequence[EigenvalueMessage],
-    weights,
+    weights: AggregationWeights,
     sigma2: float,
     psd_clip: bool = False,
 ) -> np.ndarray:
@@ -227,7 +218,7 @@ def assemble_covariance(
     """
     u = np.asarray(u_hat, dtype=float)
     ordered = _sorted_by_id(eig_msgs)
-    v = _cov_vector(weights)
+    v = weights.cov_v
     if v.size != len(ordered):
         raise ValueError(f"{len(ordered)} messages but {v.size} weights")
     r = u.shape[1]

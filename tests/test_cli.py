@@ -41,6 +41,14 @@ def _tiny_config(tmp_path):
     return cfg
 
 
+def test_simulate_config_with_an_unknown_key_names_it(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"p": 8, "weights_as_printed": True}))
+    argv = ["simulate", "--scenario", "privacy_utility", "--out", str(tmp_path / "run")]
+    with pytest.raises(SystemExit, match="weights_as_printed"):
+        main(argv + ["--config", str(cfg)])
+
+
 def test_simulate_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--scenario", "bogus", "--out", str(tmp_path)])

@@ -1,8 +1,8 @@
 """Property tests of the message codec.
 
-On any bytes, ``decode`` either returns a message or raises
-``MessageDecodeError``; and ``decode(encode(m))`` gives back ``m`` bit for
-bit.
+On any bytes, ``decode`` either raises ``MessageDecodeError`` or returns a
+message that ``encode`` can send again; and ``decode(encode(m))`` gives back
+``m`` bit for bit.
 """
 
 import json
@@ -25,9 +25,10 @@ from fedspike import (
 
 def _decodes_or_refuses(blob: bytes) -> None:
     try:
-        decode(blob)
+        msg = decode(blob)
     except MessageDecodeError:
-        pass
+        return
+    encode(msg)
 
 
 # Values that a number or size field of a message cannot take.

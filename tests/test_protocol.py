@@ -117,6 +117,59 @@ class TestCodec:
         with pytest.raises(MessageDecodeError, match="field 'u_hat'"):
             decode(blob)
 
+    @pytest.mark.parametrize("value", [b'"inf"', b"Infinity", b"-Infinity", b"NaN"])
+    def test_non_finite_epsilon_is_refused(self, value):
+        blob = encode(_projector_msg()).replace(b'"epsilon":0.5', b'"epsilon":' + value)
+        with pytest.raises(MessageDecodeError, match="field 'epsilon'"):
+            decode(blob)
+
+    @pytest.mark.parametrize("value", [b"true", b'"7"', b"7.9", b"7.0"])
+    def test_count_must_be_a_json_integer(self, value):
+        blob = encode(_projector_msg()).replace(b'"n":120', b'"n":' + value)
+        with pytest.raises(MessageDecodeError, match="field 'n'"):
+            decode(blob)
+
+    def test_delta_sent_as_a_string_is_refused(self):
+        blob = encode(_projector_msg()).replace(b'"delta":0.10000000000000001', b'"delta":"0.1"')
+        with pytest.raises(MessageDecodeError, match="field 'delta'"):
+            decode(blob)
+
+    def test_integer_budget_is_a_number(self):
+        blob = encode(_projector_msg()).replace(b'"epsilon":0.5', b'"epsilon":2')
+        assert decode(blob).epsilon == 2.0
+
+    @pytest.mark.parametrize("value", [b"[1,2]", b"null", b"7"])
+    def test_warning_must_be_a_string(self, value):
+        blob = encode(_projector_msg()).replace(b'"u_hat"', b'"warning":' + value + b',"u_hat"')
+        with pytest.raises(MessageDecodeError, match="field 'warning'"):
+            decode(blob)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            b'"rows":"3","cols":true',
+            b'"rows":3.0,"cols":1',
+            b'"rows":1000000000000000000,"cols":0,"data":[]',
+        ],
+    )
+    def test_matrix_header_must_hold_positive_integers(self, header):
+        obj = json.loads(encode(_projector_msg(p=3, r=1)))
+        head = json.loads(b"{" + header + b"}")
+        obj["u_hat"].update(head)
+        with pytest.raises(MessageDecodeError, match="field 'u_hat'"):
+            decode(json.dumps(obj).encode())
+
+    def test_matrix_data_must_be_numbers(self):
+        obj = json.loads(encode(_projector_msg(p=3, r=1)))
+        obj["u_hat"]["data"] = [str(v) for v in obj["u_hat"]["data"]]
+        with pytest.raises(MessageDecodeError, match="field 'u_hat'"):
+            decode(json.dumps(obj).encode())
+
+    def test_schema_version_must_be_an_integer(self):
+        blob = encode(_projector_msg()).replace(b'"schema_version":1', b'"schema_version":true')
+        with pytest.raises(MessageDecodeError, match="schema_version"):
+            decode(blob)
+
     def test_deep_nesting_is_refused(self):
         with pytest.raises(MessageDecodeError, match="nested too deeply"):
             decode(b"[" * 200_000)
@@ -144,6 +197,26 @@ def _session_pieces(m=3, p=10, r=1, n=80, heterogeneous=False, seed=0):
         clients.append(ClientHandle(data, cfg))
     server = ServerHandle(rank_r=r, sigma2=1.0, lam=8.0, scheme="optimal")
     return model, clients, server
+
+
+class _LosesUplink:
+    """Transport mixin that loses every message client ``lost`` sends."""
+
+    def __init__(self, lost, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.lost = lost
+
+    def send_from_client(self, client_id, msg):
+        if client_id != self.lost:
+            super().send_from_client(client_id, msg)
+
+
+class _LossyInProcess(_LosesUplink, InProcessTransport):
+    pass
+
+
+class _LossyTcp(_LosesUplink, TcpTransport):
+    pass
 
 
 class TestSession:
@@ -196,15 +269,13 @@ class TestSession:
 
     def test_dropout_strict_mode_lists_missing(self):
         _, clients, server = _session_pieces(m=3)
-        clients[1].responsive = False
         with pytest.raises(SessionError, match="c1"):
-            run_federated_session(clients, server, InProcessTransport())
+            run_federated_session(clients, server, _LossyInProcess("c1"))
 
     def test_dropout_allowed_renormalizes(self):
         _, clients, server = _session_pieces(m=3)
-        clients[1].responsive = False
         result = run_federated_session(
-            clients, server, InProcessTransport(), allow_dropout=True
+            clients, server, _LossyInProcess("c1"), allow_dropout=True
         )
         assert result.responders == ["c0", "c2"]
         assert abs(result.weights.pca_w.sum() - 1.0) <= 1e-12
@@ -212,9 +283,8 @@ class TestSession:
 
     def test_dropout_over_tcp_times_out(self):
         _, clients, server = _session_pieces(m=2)
-        clients[0].responsive = False
         with pytest.raises(SessionError, match="c0"):
-            run_federated_session(clients, server, TcpTransport(timeout=0.8))
+            run_federated_session(clients, server, _LossyTcp("c0", timeout=0.8))
 
     def test_explicit_weights_override(self):
         from fedspike import AggregationWeights
@@ -231,9 +301,8 @@ class TestSession:
         _, clients, server = _session_pieces(m=3)
         w = AggregationWeights([0.5, 0.3, 0.2], [0.5, 0.3, 0.2], "optimal")
         server = ServerHandle(rank_r=1, sigma2=1.0, weights=w)
-        clients[1].responsive = False
         result = run_federated_session(
-            clients, server, InProcessTransport(), allow_dropout=True
+            clients, server, _LossyInProcess("c1"), allow_dropout=True
         )
         np.testing.assert_allclose(result.weights.pca_w, [0.5 / 0.7, 0.2 / 0.7])
 
@@ -292,6 +361,10 @@ class _InjectingTransport(InProcessTransport):
         return got
 
 
+class _LossyInjecting(_LosesUplink, _InjectingTransport):
+    pass
+
+
 class TestRoundChecks:
     def test_eigenvalue_message_in_round_one(self):
         _, clients, server = _session_pieces(m=2)
@@ -320,11 +393,10 @@ class TestRoundChecks:
 
     def test_round_one_dropout_cannot_answer_round_two(self):
         _, clients, server = _session_pieces(m=3)
-        clients[1].responsive = False
         stray = EigenvalueMessage("c1", np.eye(1))
         with pytest.raises(SessionError, match=r"c1.*round 2.*'client_id'"):
             run_federated_session(
-                clients, server, _InjectingTransport(2, stray), allow_dropout=True
+                clients, server, _LossyInjecting("c1", 2, stray), allow_dropout=True
             )
 
 

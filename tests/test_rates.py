@@ -8,9 +8,7 @@ from fedspike import (
     cov_bound,
     is_admissible,
     pca_bound,
-    psi0,
     psi0_tilde,
-    psi1,
     psi1_tilde,
 )
 from fedspike.rates import rate_table
@@ -62,21 +60,6 @@ class TestPsi1Tilde:
         ]
         assert vals[0] > vals[1] > vals[2]
         assert vals[2] < 2e-3
-
-
-class TestLogFreeVariants:
-    def test_psi0_squared_form(self):
-        c = CONFIG_41
-        snr = c.sigma2 / c.lam
-        expected = math.sqrt(
-            (snr**2 + snr) * (c.p * c.r / c.n + c.p**2 * c.r**2 / (c.n**2 * c.epsilon**2))
-        )
-        assert psi0(c) == pytest.approx(expected, rel=1e-12)
-
-    def test_psi1_squared_form(self):
-        c = CONFIG_41
-        expected = math.sqrt(c.r**2 / c.n + c.r**4 / (c.n**2 * c.epsilon**2))
-        assert psi1(c) == pytest.approx(expected, rel=1e-12)
 
 
 class TestPcaBound:
