@@ -30,6 +30,7 @@ from .model import (
     Dataset,
     SpikedModel,
     covariance_matrix,
+    fill_normals,
     projection_distance,
     random_orthonormal,
     sample,
@@ -216,8 +217,13 @@ def _make_datasets(
 ) -> list[Dataset]:
     """The clients' datasets of one cell; draws already in ``held`` are reused.
 
-    Each fresh draw is handed to ``pairing``, which digests it while the
-    next one is drawn.
+    Every fresh draw's Philox fill (``fill_normals``) is started on the
+    pairing check's pool before any draw is finished. The draws are then
+    finished by ``sample`` in client order on this thread, and each is
+    handed to ``pairing``, which digests it while the next one is finished.
+    Only the fills run on the pool: the buffers are allocated here, and the
+    BLAS work of ``sample`` stays on this thread. Without ``pairing`` each
+    draw is filled inline by ``sample``.
     """
     if spec.scenario == "fixed_total":
         # One pooled draw per replication, partitioned among the clients, so
@@ -230,22 +236,31 @@ def _make_datasets(
             out.append(Dataset(pool[:, start : start + n_j], f"c{j:03d}"))
             start += n_j
         return out
-    datasets = []
-    for j, (n_j, _, _) in enumerate(layout):
-        labels = (
-            ("data", sweep_index, rep, j)
-            if _sweep_in_data_seed(spec)
-            else ("data", rep, j)
-        )
-
-        def draw(seed):
-            d = sample(model, n_j, seed, f"c{j:03d}")
-            if pairing is not None:
-                pairing.drawn(d)
-            return d
-
-        datasets.append(_drawn(spec, held, labels, draw))
-    return datasets
+    cell = [
+        ("data", sweep_index, rep, j) if _sweep_in_data_seed(spec) else ("data", rep, j)
+        for j in range(len(layout))
+    ]
+    fresh = []
+    for j, labels in enumerate(cell):
+        if labels in held:
+            continue
+        n_j = layout[j][0]
+        seed = derive_seed(spec.base_seed, spec.scenario, *labels)
+        normals = filled = None
+        if pairing is not None:
+            normals = (np.empty((spec.r, n_j)), np.empty((spec.p, n_j)))
+            filled = pairing.pool.submit(fill_normals, seed, *normals)
+        fresh.append((j, labels, seed, normals, filled))
+    fresh.reverse()
+    while fresh:  # popped, so each draw's buffers are freed once it is a Dataset
+        j, labels, seed, normals, filled = fresh.pop()
+        if filled is not None:
+            filled.result()
+        d = sample(model, layout[j][0], seed, f"c{j:03d}", normals)
+        if pairing is not None:
+            pairing.drawn(d)
+        held[labels] = d
+    return [held[labels] for labels in cell]
 
 
 def _client_configs(
@@ -286,18 +301,19 @@ class _PairingCheck:
 
     Each dataset is digested when it is first handed to the methods and again
     when the run lets go of it; the two digests must agree. The hashing runs
-    on a pool of one thread per core: a freshly drawn dataset is hashed while
-    the next one is drawn, and ``hand_out`` waits for every digest of its cell
-    before the methods see the data. ``close`` stops the pool.
+    on ``pool``, the run's helper pool, which ``_make_datasets`` also uses
+    for its Philox fills: a freshly drawn dataset is hashed while the next
+    one is drawn, and ``hand_out`` waits for every digest of its cell before
+    the methods see the data. ``close`` stops the pool.
     """
 
-    def __init__(self):
-        self._pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="fedspike-digest")
+    def __init__(self, pool: ThreadPoolExecutor):
+        self.pool = pool
         self._live: dict = {}  # id(dataset) -> (dataset, future of its hand-out digest)
 
     def drawn(self, d: Dataset) -> None:
         """Start the hand-out digest of a dataset that was just drawn."""
-        self._live[id(d)] = (d, self._pool.submit(_sha256, d))
+        self._live[id(d)] = (d, self.pool.submit(_sha256, d))
 
     def hand_out(self, datasets: list[Dataset]) -> tuple[str, ...]:
         """The digests of a cell's datasets, once every one of them is taken.
@@ -316,7 +332,7 @@ class _PairingCheck:
         gone = [d for key, (d, _) in self._live.items() if key not in kept]
         if not gone:
             return
-        for d, after in zip(gone, _digest(gone, self._pool)):
+        for d, after in zip(gone, _digest(gone, self.pool)):
             if self._live.pop(id(d))[1].result() != after:
                 raise RuntimeError(
                     f"paired-seed violation in {where}: the data of client "
@@ -325,7 +341,7 @@ class _PairingCheck:
                 )
 
     def close(self) -> None:
-        self._pool.shutdown(cancel_futures=True)
+        self.pool.shutdown(cancel_futures=True)
 
 
 def _oja_config(spec: ExperimentSpec) -> OjaConfig:
@@ -396,10 +412,14 @@ def run_scenario(
     With ``verify_pairing`` each dataset is digested (sha256) when it is
     drawn and again after the last cell that uses it; a mismatch (a method
     wrote into shared data) raises ``RuntimeError`` naming the replication
-    and the client. The digests are taken on one helper thread per core,
-    which is stopped before this returns; without ``verify_pairing`` no
-    thread is started. ``data_digests`` maps each (sweep index, replication)
-    cell to the digests of its clients' datasets.
+    and the client. The digests are taken on a pool of one helper thread per
+    core, which also fills each cell's Philox streams concurrently (every
+    scenario but fixed_total, whose pool is one draw); the rest of each draw
+    runs on the calling thread, and the data are bit-identical to inline
+    draws. The pool is stopped before this returns; without
+    ``verify_pairing`` no thread is started and the draws fill inline.
+    ``data_digests`` maps each (sweep index, replication) cell to the
+    digests of its clients' datasets.
     """
     values = sweep_values(spec)
     for sweep_index, sv in enumerate(values):
@@ -412,7 +432,10 @@ def run_scenario(
 
     cells = [[[] for _ in range(spec.replications)] for _ in values]
     digests: dict = {}
-    pairing = _PairingCheck() if verify_pairing else None
+    pairing = None
+    if verify_pairing:
+        pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="fedspike-digest")
+        pairing = _PairingCheck(pool)
     try:
         for rep in range(spec.replications):
             held: dict = {}  # this replication's draws, keyed by seed labels

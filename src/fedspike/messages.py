@@ -158,6 +158,13 @@ def encode(msg) -> bytes:
     return ("{" + ",".join(parts) + "}").encode("utf-8")
 
 
+_TYPES = {
+    "projector": ProjectorMessage,
+    "broadcast": BroadcastMessage,
+    "eigenvalues": EigenvalueMessage,
+}
+
+
 def _take(obj: dict, key: str):
     if key not in obj:
         raise MessageDecodeError(f"missing field {key!r}")
@@ -217,8 +224,10 @@ def decode(blob: bytes):
     """Parse and validate one encoded message.
 
     Raises MessageDecodeError (naming the offending field where possible)
-    on malformed bytes, unknown types, version mismatches, or payloads that
-    violate the message invariants.
+    on malformed bytes, unknown types, version mismatches, a ``round`` that
+    is not the JSON integer of the type's round (1 for projector, 2 for
+    broadcast and eigenvalues), or payloads that violate the message
+    invariants.
     """
     try:
         obj = json.loads(blob.decode("utf-8"))
@@ -234,6 +243,14 @@ def decode(blob: bytes):
         raise MessageDecodeError(
             f"schema_version mismatch: got {version!r}, expected {SCHEMA_VERSION}"
         )
+    cls = _TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise MessageDecodeError(f"unknown message type {kind!r}")
+    got = _take(obj, "round")
+    if type(got) is not int or got != cls.round:
+        raise MessageDecodeError(
+            f"field 'round' of a {kind} message must be {cls.round}, got {got!r}"
+        )
     try:
         if kind == "projector":
             return ProjectorMessage(
@@ -246,15 +263,13 @@ def decode(blob: bytes):
             )
         if kind == "broadcast":
             return BroadcastMessage(u_hat_global=_parse_matrix(obj, "u_hat_global"))
-        if kind == "eigenvalues":
-            return EigenvalueMessage(
-                client_id=_take(obj, "client_id"),
-                lambda_hat=_parse_matrix(obj, "lambda_hat"),
-            )
+        return EigenvalueMessage(
+            client_id=_take(obj, "client_id"),
+            lambda_hat=_parse_matrix(obj, "lambda_hat"),
+        )
     except MessageDecodeError:
         raise
     except MessageError as exc:
         raise MessageDecodeError(f"invalid {kind} payload: {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise MessageDecodeError(f"invalid {kind} payload: {exc}") from exc
-    raise MessageDecodeError(f"unknown message type {kind!r}")

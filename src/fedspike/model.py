@@ -119,20 +119,45 @@ def covariance_matrix(model: SpikedModel) -> np.ndarray:
     return (sigma + sigma.T) / 2.0
 
 
-def sample(model: SpikedModel, n: int, seed: int, client_id: str | None = None) -> Dataset:
+def fill_normals(seed: int, g: np.ndarray, z: np.ndarray) -> None:
+    """Fill ``g`` (r x n), then ``z`` (p x n), from the seed's sample stream.
+
+    This is the draw order of ``sample``: the spike coefficients first, then
+    the isotropic part. Filling ``out`` arrays gives the same stream as sized
+    draws, and numpy releases the GIL while it fills, so the fills of
+    different seeds can run on different threads.
+    """
+    rng = rng_from(seed, "sample")
+    rng.standard_normal(out=g)
+    rng.standard_normal(out=z)
+
+
+def sample(
+    model: SpikedModel,
+    n: int,
+    seed: int,
+    client_id: str | None = None,
+    normals: tuple | None = None,
+) -> Dataset:
     """n i.i.d. zero-mean Gaussian observations with the model covariance.
 
-    Draw order is fixed (spike coefficients first, then the isotropic part)
-    so a given seed yields a bit-identical dataset. The isotropic draw is
-    scaled and summed in place; IEEE products and sums commute, so this is
-    bit-identical to ``U (scale g) + sqrt(noise_var) z`` and allocates two
-    p x n temporaries fewer.
+    A given seed yields a bit-identical dataset. ``normals`` is the pair
+    (g, z) that ``fill_normals(seed, g, z)`` has already filled, for a
+    caller that ran the fill elsewhere (``run_scenario`` runs it on a helper
+    thread); by default the fill runs here. The isotropic draw is scaled
+    and summed in place, into ``z``; IEEE products and sums commute, so this
+    is bit-identical to ``U (scale g) + sqrt(noise_var) z`` and allocates
+    two p x n temporaries fewer.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = rng_from(seed, "sample")
-    g = rng.standard_normal((model.rank_r, n))
-    z = rng.standard_normal((model.dim_p, n))
+    shapes = ((model.rank_r, n), (model.dim_p, n))
+    if normals is None:
+        normals = (np.empty(shapes[0]), np.empty(shapes[1]))
+        fill_normals(seed, *normals)
+    g, z = normals
+    if (g.shape, z.shape) != shapes:
+        raise ValueError(f"normals must have shapes {shapes}, got {(g.shape, z.shape)}")
     scale = np.sqrt(model.spike_eigenvalues)[:, None]
     z *= np.sqrt(model.noise_var)
     z += model.basis_u @ (scale * g)

@@ -3,9 +3,7 @@
 Weight/message pairing is always by client_id (stable sort), never by
 arrival order. All weight schemes produce simplex vectors; the "optimal"
 scheme is inverse-square in the per-client subspace rate, and the
-"data_independent" scheme uses the budget-only bracket (inverse-square by
-default; ``as_printed`` reproduces the plain-proportional variant for
-comparison).
+"data_independent" scheme is inverse-square in the budget-only bracket.
 """
 
 from __future__ import annotations
@@ -19,7 +17,7 @@ import numpy as np
 
 from .messages import EigenvalueMessage, ProjectorMessage
 from .rates import RateInputs, psi0_tilde
-from .spectral import svd_r, sym_eig
+from .spectral import svd_r
 
 logger = logging.getLogger(__name__)
 
@@ -93,7 +91,7 @@ def _data_independent_bracket(c: RateInputs) -> float:
 
 
 def weights_from_rate_inputs(
-    clients: Sequence[RateInputs], scheme: str = "optimal", as_printed: bool = False
+    clients: Sequence[RateInputs], scheme: str = "optimal"
 ) -> AggregationWeights:
     """Weights from fully specified per-client rate inputs.
 
@@ -112,7 +110,7 @@ def weights_from_rate_inputs(
         w = _normalized(np.array([psi0_tilde(c) ** -2 for c in clients]))
     else:
         brackets = np.array([_data_independent_bracket(c) for c in clients])
-        w = _normalized(brackets if as_printed else brackets**-2)
+        w = _normalized(brackets**-2)
     v = _normalized(np.array([_cov_raw(c) for c in clients]))
     return AggregationWeights(w, v, scheme)
 
@@ -124,11 +122,10 @@ def pca_weights(
     lam: float,
     sigma2: float,
     scheme: str = "optimal",
-    as_printed: bool = False,
 ) -> AggregationWeights:
     """Weights from per-client (n, epsilon, delta) and shared plug-ins."""
     clients = [RateInputs(n, eps, delta, p, r, lam, sigma2) for n, eps, delta in client_params]
-    return weights_from_rate_inputs(clients, scheme, as_printed)
+    return weights_from_rate_inputs(clients, scheme)
 
 
 def cov_weights(
@@ -207,14 +204,12 @@ def assemble_covariance(
     eig_msgs: Sequence[EigenvalueMessage],
     weights: AggregationWeights,
     sigma2: float,
-    psd_clip: bool = False,
 ) -> np.ndarray:
     """Covariance estimate U (sum_j v_j Lambda_j) U^T + sigma2 I.
 
     Eigenvalue blocks are defensively symmetrized; deviations beyond 1e-8
-    are logged. ``psd_clip`` optionally clips negative eigenvalues of the
-    assembled matrix at zero (off by default: the guarantee is for the
-    unclipped estimator).
+    are logged. Negative eigenvalues are kept: the guarantee is for the
+    unclipped estimator.
     """
     u = np.asarray(u_hat, dtype=float)
     ordered = _sorted_by_id(eig_msgs)
@@ -237,10 +232,4 @@ def assemble_covariance(
         lam_bar += vi * (lam + lam.T) / 2.0
     sigma = u @ lam_bar @ u.T
     sigma[np.diag_indices_from(sigma)] += sigma2
-    sigma = (sigma + sigma.T) / 2.0
-    if psd_clip:
-        eig = sym_eig(sigma)
-        clipped = np.maximum(eig.values, 0.0)
-        sigma = (eig.vectors * clipped) @ eig.vectors.T
-        sigma = (sigma + sigma.T) / 2.0
-    return sigma
+    return (sigma + sigma.T) / 2.0

@@ -2,9 +2,27 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
+import pytest
 
 from fedspike import SpikedModel, random_orthonormal
+
+
+@pytest.fixture(autouse=True)
+def no_fedspike_thread_outlives_the_test():
+    """Fail a test that leaves a ``fedspike-*`` thread running: the digest
+    pool of ``run_scenario`` or a TCP transport's accept and reader threads."""
+    before = set(threading.enumerate())
+    yield
+    left = sorted(
+        t.name
+        for t in threading.enumerate()
+        if t not in before and t.name.startswith("fedspike-")
+    )
+    if left:
+        pytest.fail(f"threads still running after the test: {left}")
 
 
 def make_model(p: int, r: int, lam, sigma2: float, seed: int) -> SpikedModel:

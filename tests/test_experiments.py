@@ -387,6 +387,58 @@ def test_pairing_check_sees_a_write_in_the_first_method(monkeypatch):
     assert [t for t in threading.enumerate() if t not in before] == []
 
 
+@pytest.mark.parametrize("r", [1, 3])
+@pytest.mark.parametrize("scenario", ["privacy_utility", "vary_clients", "heterogeneous"])
+def test_pooled_draws_equal_inline_draws(scenario, r):
+    """Fills on the helper pool give the datasets that ``sample`` draws inline."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    from fedspike import experiments
+    from fedspike.rng import derive_seed
+
+    spec = default_spec(scenario, **{**GOLDEN_SPECS[scenario], "r": r})
+    sweep_index = len(sweep_values(spec)) - 1
+    layout = client_layout(spec, sweep_values(spec)[sweep_index], sweep_index, 0)
+    layout = [(13 + 29 * j, eps, delta) for j, (_, eps, delta) in enumerate(layout)]
+    model = experiments._make_model(spec, sweep_index, 0, {})
+    with ThreadPoolExecutor(2, thread_name_prefix="fedspike-digest") as pool:
+        pairing = experiments._PairingCheck(pool)
+        pooled = experiments._make_datasets(spec, model, layout, sweep_index, 0, {}, pairing)
+        pairing.hand_out(pooled)
+    inline = experiments._make_datasets(spec, model, layout, sweep_index, 0, {}, None)
+    assert len(pooled) == len(inline) == len(layout)
+    for j, (a, b) in enumerate(zip(pooled, inline)):
+        labels = ("data", sweep_index, 0, j) if scenario == "heterogeneous" else ("data", 0, j)
+        seed = derive_seed(spec.base_seed, scenario, *labels)
+        want = sample(model, layout[j][0], seed, f"c{j:03d}")
+        assert a.client_id == b.client_id == want.client_id
+        assert np.array_equal(a.samples, want.samples)
+        assert np.array_equal(b.samples, want.samples)
+
+
+def test_a_failing_fill_fails_the_run(monkeypatch):
+    """A fill that raises on a helper thread is the run's exception, and the
+    run stops its helper threads."""
+    from fedspike import experiments
+
+    original = experiments.fill_normals
+    threads = []
+
+    def failing(seed, g, z):
+        threads.append(threading.current_thread().name)
+        if len(threads) == 3:
+            raise FloatingPointError("fill failed")
+        original(seed, g, z)
+
+    monkeypatch.setattr(experiments, "fill_normals", failing)
+    spec = default_spec("privacy_utility", **GOLDEN_SPECS["privacy_utility"])
+    before = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="fill failed"):
+        run_scenario(spec, verify_pairing=True)
+    assert [t for t in threading.enumerate() if t not in before] == []
+    assert threads and all(name.startswith("fedspike-digest") for name in threads)
+
+
 @pytest.mark.parametrize("verify_pairing", [True, False])
 def test_digest_threads_live_only_while_the_run_checks_pairing(verify_pairing, monkeypatch):
     from fedspike import experiments

@@ -170,6 +170,28 @@ class TestCodec:
         with pytest.raises(MessageDecodeError, match="schema_version"):
             decode(blob)
 
+    @pytest.mark.parametrize("value", [None, b'"x"', b'"1"', b"true", b"1.0", b"2"])
+    def test_projector_round_must_be_the_integer_1(self, value):
+        blob = encode(_projector_msg())
+        edited = blob.replace(b'"round":1,', b"" if value is None else b'"round":' + value + b",")
+        assert edited != blob
+        with pytest.raises(MessageDecodeError, match="'round'"):
+            decode(edited)
+
+    @pytest.mark.parametrize("value", [None, b'"2"', b"false", b"1"])
+    def test_round_two_messages_must_say_2(self, value):
+        from fedspike import random_orthonormal
+
+        lam = np.eye(2)
+        for msg in (BroadcastMessage(random_orthonormal(5, 2, 4)), EigenvalueMessage("c9", lam)):
+            blob = encode(msg)
+            edited = blob.replace(
+                b'"round":2,', b"" if value is None else b'"round":' + value + b","
+            )
+            assert edited != blob
+            with pytest.raises(MessageDecodeError, match="'round'"):
+                decode(edited)
+
     def test_deep_nesting_is_refused(self):
         with pytest.raises(MessageDecodeError, match="nested too deeply"):
             decode(b"[" * 200_000)
