@@ -75,7 +75,21 @@ class Dataset:
     client_id: str | None = None
 
     def __post_init__(self):
-        x = np.array(self.samples, dtype=float)
+        self._own(np.array(self.samples, dtype=float))
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, client_id: str | None) -> Dataset:
+        """A dataset that takes the float64 buffer ``x`` itself, not a copy.
+
+        For ``sample``, which has just filled ``x`` and holds no other
+        reference to it; ``x`` becomes read-only.
+        """
+        data = object.__new__(cls)
+        object.__setattr__(data, "client_id", client_id)
+        data._own(x)
+        return data
+
+    def _own(self, x: np.ndarray) -> None:
         x.flags.writeable = False
         object.__setattr__(self, "samples", x)
         if x.ndim != 2:
@@ -147,7 +161,9 @@ def sample(
     thread); by default the fill runs here. The isotropic draw is scaled
     and summed in place, into ``z``; IEEE products and sums commute, so this
     is bit-identical to ``U (scale g) + sqrt(noise_var) z`` and allocates
-    two p x n temporaries fewer.
+    two p x n temporaries fewer. ``z`` then becomes the dataset's read-only
+    samples without a copy, so a caller that passes ``normals`` must not
+    keep it for other use.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -161,7 +177,7 @@ def sample(
     scale = np.sqrt(model.spike_eigenvalues)[:, None]
     z *= np.sqrt(model.noise_var)
     z += model.basis_u @ (scale * g)
-    return Dataset(z, client_id)
+    return Dataset._adopt(z, client_id)
 
 
 def projection_distance(u1: np.ndarray, u2: np.ndarray) -> float:

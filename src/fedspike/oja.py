@@ -19,8 +19,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.linalg import LinAlgError
 
-from .kernels import oja_stream
+from .kernels import oja_stream, orthonormalise
 from .model import Dataset, random_orthonormal
 from .privacy import PrivacyBudget
 from .rng import derive_seed, rng_from
@@ -140,8 +141,30 @@ def _run_group(
             noise = None
             if rngs is not None:
                 noise = np.stack([g.standard_normal((s1 - s0, p, r)) for g in rngs], axis=1)
-            v = oja_stream(
-                block, v, pass_no * n + s0, cfg.step0, cfg.decay, cfg.clip_norm,
-                noise_std, noise, cfg.reorth_every,
-            )
-    return np.linalg.qr(v)[0]
+            t0 = pass_no * n + s0
+            try:
+                v = oja_stream(
+                    block, v, t0, cfg.step0, cfg.decay, cfg.clip_norm,
+                    noise_std, noise, cfg.reorth_every,
+                )
+            except LinAlgError as exc:
+                raise _stream_error(datasets, members, t0, s1 - s0, exc) from exc
+            finite = np.isfinite(v).all(axis=(1, 2))
+            if not finite.all():
+                failed = [members[b] for b in np.flatnonzero(~finite)]
+                raise _stream_error(datasets, failed, t0, s1 - s0, "its frame is not finite")
+    return orthonormalise(v)
+
+
+def _stream_error(datasets, failed, t0, k, why) -> LinAlgError:
+    """The error for a block of k steps from global step t0 that failed.
+
+    A floating-point error in the stacked update stops the whole stack, so it
+    names every client of the stack; a non-finite frame names its own client.
+    """
+    names = ", ".join(
+        str(datasets[j].client_id) if datasets[j].client_id is not None else f"#{j}"
+        for j in failed
+    )
+    steps = f"{t0}..{t0 + k - 1}"
+    return LinAlgError(f"Oja stream of client(s) {names} failed in global steps {steps}: {why}")

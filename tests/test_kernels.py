@@ -3,9 +3,18 @@ import math
 import numpy as np
 import pytest
 from conftest import make_model
+from numpy.linalg import LinAlgError
 
-from fedspike import OjaConfig, PrivacyBudget, default_clip_norm, fed_dp_oja, sample
-from fedspike.kernels import oja_stream
+from fedspike import (
+    Dataset,
+    OjaConfig,
+    PrivacyBudget,
+    default_clip_norm,
+    fed_dp_oja,
+    kernels,
+    sample,
+)
+from fedspike.kernels import oja_stream, orthonormalise
 from fedspike.model import random_orthonormal
 from fedspike.oja import _BLOCK, oja_step_noise_std
 from fedspike.rng import derive_seed, rng_from
@@ -134,6 +143,80 @@ class TestOjaStreamPaths:
         rng = rng_from(5, "oja-noise", 0)
         parts = [rng.standard_normal((k, 4, 2)) for k in (256, 256, 188)]
         assert np.array_equal(np.concatenate(parts), whole)
+
+
+class TestOrthonormalise:
+    """The gufunc QR that the kernel calls against the public ``np.linalg.qr``."""
+
+    @pytest.mark.parametrize("b", [1, 4, 10])
+    @pytest.mark.parametrize("r", [1, 2, 5])
+    @pytest.mark.parametrize("p", [5, 50])
+    @pytest.mark.parametrize("layout", ["c-order", "strided", "transposed"])
+    def test_q_is_np_linalg_qr_bit_for_bit(self, b, r, p, layout):
+        rng = np.random.default_rng(100 * b + 10 * r + p)
+        if layout == "c-order":
+            v = rng.standard_normal((b, p, r))
+        elif layout == "strided":
+            v = rng.standard_normal((b, 2 * p, r + 1))[:, ::2, 1:]
+        else:
+            v = rng.standard_normal((b, r, p)).transpose(0, 2, 1)
+        v[-1, :, 0] = 0.0  # a frame with a zero column
+        want = np.linalg.qr(v)[0]
+        got = orthonormalise(v)
+        assert np.isfinite(want).all()
+        assert np.array_equal(got, want)
+
+
+class TestOjaStreamInputs:
+    """The kernel reads its caller's arrays and never writes them."""
+
+    @pytest.mark.parametrize("clip_norm", [4.5, np.inf])
+    @pytest.mark.parametrize("reorth_every", [1, 7])
+    def test_leaves_xs_v_and_noise_unchanged(self, clip_norm, reorth_every):
+        xs, v0, noise = _streams(seed=11)
+        x_all, v, n_all = np.stack(xs, axis=1), np.stack(v0), np.stack(noise, axis=1)
+        if math.isfinite(clip_norm):
+            assert (np.linalg.norm(x_all, axis=2) > clip_norm).any()
+        before = [a.copy() for a in (x_all, v, n_all)]
+        out = oja_stream(x_all, v, 0, 0.5, 1.0, clip_norm, np.full(3, 0.3), n_all, reorth_every)
+        for a, was in zip((x_all, v, n_all), before):
+            assert np.array_equal(a, was)
+        assert not np.shares_memory(out, v)
+
+
+class TestStreamFailures:
+    """A stream that goes non-finite fails the run, naming its client and block."""
+
+    @staticmethod
+    def _clients(scale, p=10, r=2):
+        model = make_model(p, r, [6.0, 4.0], 1.0, 0)
+        datasets = [sample(model, 300, 30 + j, client_id=f"c{j}") for j in range(3)]
+        datasets[1] = Dataset(datasets[1].samples * scale, "c1")
+        return datasets
+
+    def test_overflowing_client_is_named(self):
+        cfg = OjaConfig(rank_r=2, noise_per_step=0.0, clip_norm=np.inf)
+        datasets = self._clients(1e160)
+        with np.errstate(over="ignore"), pytest.raises(
+            LinAlgError, match=r"client\(s\) c1 failed in global steps 0\.\.255"
+        ):
+            fed_dp_oja(datasets, cfg, [PrivacyBudget(0.5, 0.1)] * 3, seed=1)
+
+    def test_floating_point_error_in_the_qr_names_the_stack(self, monkeypatch):
+        calls = []
+
+        def failing(v):
+            calls.append(1)
+            if len(calls) == _BLOCK + 5:
+                np.sqrt(-np.ones(1))  # raises the invalid flag, as a LAPACK error does
+            return q_factor(v)
+
+        q_factor = kernels._q_factor
+        monkeypatch.setattr(kernels, "_q_factor", failing)
+        cfg = OjaConfig(rank_r=2, noise_per_step=0.0)
+        with pytest.raises(LinAlgError, match=r"c0, c1, c2 failed in global steps 256\.\.299") as err:
+            fed_dp_oja(self._clients(1.0), cfg, [PrivacyBudget(0.5, 0.1)] * 3, seed=1)
+        assert isinstance(err.value.__cause__, LinAlgError)
 
 
 class TestFedDpOjaMatchesOracle:

@@ -12,6 +12,7 @@ from fedspike import (
     sample,
     save_dataset_csv,
 )
+from fedspike.model import fill_normals
 
 
 class TestRandomOrthonormal:
@@ -188,6 +189,20 @@ class TestDataset:
             data.samples[0, 0] = 5.0
         x[0, 0] = 5.0  # the caller's array stays writable and is not shared
         assert data.samples[0, 0] == 1.0
+
+    def test_sample_hands_over_its_buffer_and_dataset_copies(self):
+        model = make_model(6, 2, [5.0, 3.0], 1.0, 0)
+        drawn = sample(model, 40, 7).samples
+        assert drawn.flags.owndata and not drawn.flags.writeable
+        normals = (np.empty((2, 40)), np.empty((6, 40)))
+        fill_normals(7, *normals)
+        pooled = sample(model, 40, 7, normals=normals).samples
+        assert pooled is normals[1] and not pooled.flags.writeable
+        assert np.array_equal(pooled, drawn)
+        x = np.array(drawn)
+        data = Dataset(x)
+        assert data.samples.flags.owndata and not data.samples.flags.writeable
+        assert not np.shares_memory(data.samples, x) and x.flags.writeable
 
     def test_csv_roundtrip(self, tmp_path):
         model = make_model(3, 1, 4.0, 1.0, 6)
