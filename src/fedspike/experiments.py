@@ -84,11 +84,6 @@ class ExperimentSpec:
     delta_range: tuple = (0.1, 0.2)
     small_mult: int = 2
     large_mult: int = 20
-    # knobs
-    oja_step0: float = 1.0
-    oja_decay: float = 1.0
-    oja_passes: int = 1
-    oja_reorth_every: int = 1
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
@@ -344,17 +339,6 @@ class _PairingCheck:
         self.pool.shutdown(cancel_futures=True)
 
 
-def _oja_config(spec: ExperimentSpec) -> OjaConfig:
-    return OjaConfig(
-        rank_r=spec.r,
-        step0=spec.oja_step0,
-        decay=spec.oja_decay,
-        passes=spec.oja_passes,
-        clip_norm=default_clip_norm(spec.lam, spec.sigma2, spec.p),
-        reorth_every=spec.oja_reorth_every,
-    )
-
-
 def _run_method(
     method: str,
     spec: ExperimentSpec,
@@ -373,7 +357,7 @@ def _run_method(
         budgets = [PrivacyBudget(e, d) for _, e, d in layout]
         u_hat = fed_dp_oja(
             datasets,
-            _oja_config(spec),
+            OjaConfig(rank_r=spec.r, clip_norm=default_clip_norm(spec.lam, spec.sigma2, spec.p)),
             budgets,
             derive_seed(spec.base_seed, spec.scenario, "oja", sweep_index, rep),
         )
@@ -576,7 +560,6 @@ def plot_from_csv(csv_path, svg_path) -> None:
 
 def estimate_plugins(
     data: Dataset,
-    r: int,
     top_k: int,
     tail_range: tuple,
     subtract_sigma: bool = True,
@@ -594,8 +577,6 @@ def estimate_plugins(
         raise ValueError(f"tail_range {tail_range} must satisfy 1 <= lo <= hi <= p={p}")
     if not 1 <= top_k <= p:
         raise ValueError(f"top_k must lie in [1, p={p}]")
-    if not 1 <= r <= p:
-        raise ValueError(f"r must lie in [1, p={p}]")
     xc = data.samples - data.samples.mean(axis=1, keepdims=True)
     s = (xc @ xc.T) / data.n_samples
     vals = sym_eig(s).values
@@ -622,8 +603,6 @@ class RealdataSpec:
     subtract_sigma: bool = True
     methods: tuple = ("fedspike", "equal", "oja")
     allow_dropout: bool = False
-    oja_step0: float = 1.0
-    oja_decay: float = 1.0
     header: bool = False
 
     def __post_init__(self):
@@ -669,7 +648,7 @@ def run_realdata(matrix_csv, spec: RealdataSpec) -> list[dict]:
     budgets = [PrivacyBudget(spec.epsilon, spec.delta) for _ in sizes]
     cfgs, rate_inputs = [], []
     for j, data in enumerate(datasets):
-        lam_hat, sig_hat = estimate_plugins(data, r, spec.top_k, tail, spec.subtract_sigma)
+        lam_hat, sig_hat = estimate_plugins(data, spec.top_k, tail, spec.subtract_sigma)
         sig_use = max(sig_hat, 1e-12 * max(abs(lam_hat), 1.0))
         lam_use = max(lam_hat, 1e-8 * sig_use)
         cfgs.append(
@@ -705,12 +684,7 @@ def run_realdata(matrix_csv, spec: RealdataSpec) -> list[dict]:
         else:
             lam_bar = float(np.mean([c.lambda_plugin for c in cfgs]))
             sig_bar = float(np.mean([c.sigma2_plugin for c in cfgs]))
-            oja_cfg = OjaConfig(
-                rank_r=r,
-                step0=spec.oja_step0,
-                decay=spec.oja_decay,
-                clip_norm=default_clip_norm(lam_bar, sig_bar, p),
-            )
+            oja_cfg = OjaConfig(rank_r=r, clip_norm=default_clip_norm(lam_bar, sig_bar, p))
             u_hat = fed_dp_oja(datasets, oja_cfg, budgets, derive_seed(spec.seed, "realdata-oja"))
         report.append(
             {"method": method, "explained_variance": explained_variance(u_hat, pool)}

@@ -9,6 +9,9 @@ element is computed by the same floating-point operations in the same order
 as a per-stream loop would use, so each stream's result is bit-identical to
 running it alone (``tests/test_kernels.py`` holds that loop as its oracle).
 
+The schedule is fixed: the step size at global step t (counted from 1) is
+eta_t = 1/t, and every step ends with a QR of the stack.
+
 The reorthonormalisation calls the two gufuncs behind ``np.linalg.qr``
 (``qr_r_raw``, then ``qr_reduced``; in ``numpy.linalg._umath_linalg`` since
 numpy 1.22) rather than the wrapper. The LAPACK work and its inputs are the
@@ -27,29 +30,32 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 
-def oja_stream(xs, v, t0, step0, decay, clip_norm, noise_std, noise, reorth_every):
+def oja_stream(xs, v, t0, clip_norm, noise_std, noise):
     """Advance B Oja streams in lockstep over one block of k time steps.
 
     ``xs`` is time-major, (k, B, p): ``xs[i, b]`` is the observation of
-    stream b at global step ``t0 + i``. ``v`` is the (B, p, r) stack of
+    stream b at global step ``t = t0 + i``. ``v`` is the (B, p, r) stack of
     frames. Each stream does
 
-        v <- v + eta_t (x x^T v + noise_std[b] * N_t),  eta_t = step0 / t^decay,
+        v <- qr(v + eta_t (x x^T v + noise_std[b] * N_t)),  eta_t = 1 / (t + 1),
 
     with observations of norm above ``clip_norm`` rescaled onto the clip
-    ball and a stacked QR after every ``reorth_every``-th global step.
-    ``noise`` holds the (k, B, p, r) standard normals N_t, or is None for
-    no noise. Returns the updated stack; the final orthonormalisation after
-    the last block is left to the caller. The caller's ``xs``, ``v`` and
-    ``noise`` are never written. An invalid floating-point operation in the
-    block, which is how a LAPACK error in the QR shows, raises ``LinAlgError``.
+    ball and a stacked QR after every step. ``noise`` holds the (k, B, p, r)
+    standard normals N_t, or is None for no noise. Returns the updated stack.
+    The caller's ``xs``, ``v`` and ``noise`` are never written. An invalid
+    floating-point operation in the block, which is how a LAPACK error in the
+    QR shows, raises ``LinAlgError``.
     """
     k, _, p = xs.shape
     # Squared norms summed over coordinates in index order, as a scalar loop would.
     sq = np.zeros(xs.shape[:2])
-    for i in range(p):
-        sq += xs[..., i] * xs[..., i]
+    with np.errstate(over="ignore"):  # an overflowing square is handled below
+        for i in range(p):
+            sq += xs[..., i] * xs[..., i]
     nrm = np.sqrt(sq)
+    big = ~np.isfinite(sq)
+    if big.any():
+        nrm[big] = _scaled_norm(xs[big])
     over = nrm > clip_norm
     if over.any():
         xs = xs.copy()
@@ -59,16 +65,25 @@ def oja_stream(xs, v, t0, step0, decay, clip_norm, noise_std, noise, reorth_ever
     rows = xs[:, :, None, :]  # (k, B, 1, p): each observation as a row vector
     with _qr_errstate():
         for i in range(k):
-            t = t0 + i
             y = rows[i] @ v  # (B, 1, r)
             g = xs[i, :, :, None] * y
             if noise is not None:
                 g = g + noise[i]
-            eta = step0 / (t + 1.0) ** decay
-            v = v + eta * g  # a fresh array, so the QR may overwrite it
-            if (t + 1) % reorth_every == 0:
-                v = _q_factor(v)
+            eta = 1.0 / (t0 + i + 1.0)
+            v = _q_factor(v + eta * g)  # a fresh array, so the QR may overwrite it
     return v
+
+
+def _scaled_norm(x):
+    """The norm of each row of the (n, p) ``x``, as max-abs times the norm of
+    the row divided by it, so that a row whose squares overflow keeps a
+    finite norm."""
+    m = np.abs(x).max(axis=1)
+    s = x / m[:, None]
+    sq = np.zeros(len(x))
+    for i in range(x.shape[1]):
+        sq += s[:, i] * s[:, i]
+    return m * np.sqrt(sq)
 
 
 def orthonormalise(v):

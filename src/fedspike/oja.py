@@ -9,7 +9,7 @@ per-step noise splits the client's whole budget across its T updates,
 
 with Delta_step = 2 * clip_norm^2 (the worst-case gradient change under a
 one-datum replacement given the clip ball). Only the qualitative ordering
-against the main method is meaningful; all constants live in OjaConfig.
+against the main method is meaningful.
 """
 
 from __future__ import annotations
@@ -33,28 +33,20 @@ _BLOCK = 256
 
 @dataclass(frozen=True)
 class OjaConfig:
-    """Step schedule, rank, clipping, and the per-step noise policy.
+    """Rank, clipping, and the per-step noise policy.
 
+    Each client makes one pass over its samples with step size eta_t = 1/t
+    at its t-th sample and a QR after every step (``kernels.oja_stream``).
     noise_per_step is a variance override; None calibrates from the budget.
     """
 
     rank_r: int
-    step0: float = 1.0
-    decay: float = 1.0
-    passes: int = 1
     clip_norm: float = math.inf
     noise_per_step: float | None = None
-    reorth_every: int = 1
 
     def __post_init__(self):
         if self.rank_r < 1:
             raise ValueError("rank_r must be at least 1")
-        if not self.step0 > 0:
-            raise ValueError("step0 must be positive")
-        if self.passes < 1:
-            raise ValueError("passes must be at least 1")
-        if self.reorth_every < 1:
-            raise ValueError("reorth_every must be at least 1")
         if self.noise_per_step is not None and self.noise_per_step < 0:
             raise ValueError("noise_per_step must be non-negative")
 
@@ -116,43 +108,34 @@ def _run_group(
     budgets: Sequence[PrivacyBudget],
     seed: int,
 ) -> np.ndarray:
-    """The final frames of the equal-length clients ``members``, run in lockstep.
-
-    Pass k reads sample t - k n at step t, so the stream is never tiled.
-    """
+    """The final frames of the equal-length clients ``members``, run in lockstep."""
     group = [datasets[j] for j in members]
     n, p, r = group[0].n_samples, group[0].dim_p, cfg.rank_r
-    total_steps = n * cfg.passes
     if cfg.noise_per_step is not None:
         noise_std = np.full(len(members), math.sqrt(cfg.noise_per_step))
     else:
-        noise_std = np.array(
-            [oja_step_noise_std(budgets[j], cfg.clip_norm, total_steps) for j in members]
-        )
+        noise_std = np.array([oja_step_noise_std(budgets[j], cfg.clip_norm, n) for j in members])
     rngs = [rng_from(seed, "oja-noise", j) for j in members] if noise_std.any() else None
     v = np.stack([random_orthonormal(p, r, derive_seed(seed, "oja-init", j)) for j in members])
     xs = np.empty((_BLOCK, len(group), p))
-    for pass_no in range(cfg.passes):
-        for s0 in range(0, n, _BLOCK):
-            s1 = min(s0 + _BLOCK, n)
-            block = xs[: s1 - s0]
-            for b, data in enumerate(group):
-                block[:, b] = data.samples[:, s0:s1].T
-            noise = None
-            if rngs is not None:
-                noise = np.stack([g.standard_normal((s1 - s0, p, r)) for g in rngs], axis=1)
-            t0 = pass_no * n + s0
-            try:
-                v = oja_stream(
-                    block, v, t0, cfg.step0, cfg.decay, cfg.clip_norm,
-                    noise_std, noise, cfg.reorth_every,
-                )
-            except LinAlgError as exc:
-                raise _stream_error(datasets, members, t0, s1 - s0, exc) from exc
-            finite = np.isfinite(v).all(axis=(1, 2))
-            if not finite.all():
-                failed = [members[b] for b in np.flatnonzero(~finite)]
-                raise _stream_error(datasets, failed, t0, s1 - s0, "its frame is not finite")
+    for s0 in range(0, n, _BLOCK):
+        s1 = min(s0 + _BLOCK, n)
+        block = xs[: s1 - s0]
+        for b, data in enumerate(group):
+            block[:, b] = data.samples[:, s0:s1].T
+        noise = None
+        if rngs is not None:
+            noise = np.stack([g.standard_normal((s1 - s0, p, r)) for g in rngs], axis=1)
+        try:
+            v = oja_stream(block, v, s0, cfg.clip_norm, noise_std, noise)
+        except LinAlgError as exc:
+            raise _stream_error(datasets, members, s0, s1 - s0, exc) from exc
+        finite = np.isfinite(v).all(axis=(1, 2))
+        if not finite.all():
+            failed = [members[b] for b in np.flatnonzero(~finite)]
+            raise _stream_error(datasets, failed, s0, s1 - s0, "its frame is not finite")
+    # The frames are Q factors already; this last QR is kept because the seeded
+    # outputs carry its rounding.
     return orthonormalise(v)
 
 

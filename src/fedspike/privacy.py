@@ -23,6 +23,10 @@ from .rng import derive_seed, rng_from
 from .spectral import sample_covariance, sym_eig
 
 
+# The leading constant of the analytic projector-sensitivity envelope.
+_SENSITIVITY_CONST = 4.0
+
+
 class DegenerateSpectrumError(RuntimeError):
     """Raised when a top-r eigengap is too small for a stable projector."""
 
@@ -102,15 +106,13 @@ def sample_symmetric_noise(
     return out[0] if size is None else out
 
 
-def projector_sensitivity_bound(
-    p: int, r: int, n: int, lam: float, sigma2: float, const: float = 4.0
-) -> float:
+def projector_sensitivity_bound(p: int, r: int, n: int, lam: float, sigma2: float) -> float:
     """Analytic leave-one-out projector-sensitivity envelope.
 
-    const/n * sqrt((lam + s2)/lam * s2/lam) * sqrt(p (r + log n)).
+    _SENSITIVITY_CONST/n * sqrt((lam + s2)/lam * s2/lam) * sqrt(p (r + log n)).
     """
     return (
-        const
+        _SENSITIVITY_CONST
         / n
         * math.sqrt((lam + sigma2) / lam * sigma2 / lam)
         * math.sqrt(p * (r + math.log(n)))
@@ -149,12 +151,8 @@ def empirical_projector_sensitivity(
     return worst
 
 
-def sensitivity_margin(
-    model: SpikedModel, n: int, r: int, trials: int, seed: int, const: float = 4.0
-) -> dict:
+def sensitivity_margin(model: SpikedModel, n: int, r: int, trials: int, seed: int) -> dict:
     """Empirical-vs-analytic sensitivity diagnostic for simulation runs."""
     empirical = empirical_projector_sensitivity(model, n, r, trials, seed)
-    bound = projector_sensitivity_bound(
-        model.dim_p, r, n, model.spike_scalar, model.noise_var, const
-    )
+    bound = projector_sensitivity_bound(model.dim_p, r, n, model.spike_scalar, model.noise_var)
     return {"empirical": empirical, "bound": bound, "ratio": empirical / bound}

@@ -34,6 +34,7 @@ from .messages import (
 )
 from .model import Dataset
 from .server import (
+    SCHEMES,
     AggregationWeights,
     aggregate_projectors,
     assemble_covariance,
@@ -79,6 +80,7 @@ class ServerHandle:
 
     Weights are either computed from the (n, epsilon, delta) carried by the
     round-1 messages (needs the plug-in lam/sigma2) or supplied explicitly.
+    The settings are checked here, before any client computes a release.
     """
 
     def __init__(
@@ -91,6 +93,14 @@ class ServerHandle:
     ):
         if weights is None and lam is None:
             raise ValueError("either explicit weights or a lam plug-in is required")
+        if scheme not in SCHEMES:
+            raise ValueError(f"scheme: unknown scheme {scheme!r}; choose one of {SCHEMES}")
+        if rank_r < 1:
+            raise ValueError(f"rank_r: must be at least 1, got {rank_r!r}")
+        if not (np.isfinite(sigma2) and sigma2 > 0):
+            raise ValueError(f"sigma2: must be finite and positive, got {sigma2!r}")
+        if lam is not None and not (np.isfinite(lam) and lam > 0):
+            raise ValueError(f"lam: must be finite and positive, got {lam!r}")
         self.rank_r = rank_r
         self.sigma2 = sigma2
         self.lam = lam

@@ -71,6 +71,10 @@ def _check_consistent(clients: Sequence[RateInputs]) -> None:
             raise ValueError("clients must share the same (p, r)")
 
 
+# The admissibility threshold: psi0_tilde must lie below this times sqrt(r).
+_ADMISSIBLE_C1 = 0.5
+
+
 def pca_bound(clients: Sequence[RateInputs]) -> float:
     """Aggregate squared-projector-error bound: harmonic sum capped at 2r."""
     _check_consistent(clients)
@@ -78,23 +82,24 @@ def pca_bound(clients: Sequence[RateInputs]) -> float:
     return min(1.0 / harmonic, 2.0 * clients[0].r)
 
 
-def cov_bound(clients: Sequence[RateInputs], lam: float | None = None) -> float:
-    """Aggregate squared-Frobenius covariance bound, capped at 2 r lam^2."""
+def cov_bound(clients: Sequence[RateInputs]) -> float:
+    """Aggregate squared-Frobenius covariance bound, capped at 2 r lam^2,
+    with lam the first client's spike strength."""
     _check_consistent(clients)
-    if lam is None:
-        lam = clients[0].lam
+    lam = clients[0].lam
     h0 = sum(psi0_tilde(c) ** -2 for c in clients)
     h1 = sum(psi1_tilde(c) ** -2 for c in clients)
     uncapped = lam**2 / h0 + lam**2 / h1
     return min(uncapped, 2.0 * clients[0].r * lam**2)
 
 
-def is_admissible(c: RateInputs, c1: float = 0.5) -> bool:
-    """Signal-strength diagnostic: the subspace rate is below c1 * sqrt(r).
+def is_admissible(c: RateInputs) -> bool:
+    """Signal-strength diagnostic: the subspace rate is below
+    ``_ADMISSIBLE_C1 * sqrt(r)``.
 
     Reported as a boolean, never enforced.
     """
-    return psi0_tilde(c) < c1 * math.sqrt(c.r)
+    return psi0_tilde(c) < _ADMISSIBLE_C1 * math.sqrt(c.r)
 
 
 def rate_table(clients: Sequence[RateInputs]) -> list[dict]:

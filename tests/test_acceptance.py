@@ -63,7 +63,7 @@ def test_criterion_2_sensitivity_envelope():
     t0 = time.perf_counter()
     model = make_model(20, 1, 10.0, 1.0, 4201)
     worst = fs.empirical_projector_sensitivity(model, 500, 1, trials=100, seed=4202)
-    bound = fs.projector_sensitivity_bound(20, 1, 500, 10.0, 1.0, const=4.0)
+    bound = fs.projector_sensitivity_bound(20, 1, 500, 10.0, 1.0)
     s500 = fs.empirical_projector_sensitivity(model, 500, 1, trials=20, seed=4203)
     s1000 = fs.empirical_projector_sensitivity(model, 1000, 1, trials=20, seed=4204)
     ratio = s1000 / s500

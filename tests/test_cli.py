@@ -42,11 +42,16 @@ def _tiny_config(tmp_path):
 
 
 def test_simulate_config_with_an_unknown_key_names_it(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"p": 8, "weights_as_printed": True}))
+    # weights_as_printed and oja_passes were ExperimentSpec fields once. The
+    # run is kept tiny, so that a key that slips through fails the test fast.
     argv = ["simulate", "--scenario", "privacy_utility", "--out", str(tmp_path / "run")]
-    with pytest.raises(SystemExit, match="weights_as_printed"):
-        main(argv + ["--config", str(cfg)])
+    argv += ["--reps", "1", "--methods", "fedspike", "--no-svg"]
+    for key, value in [("weights_as_printed", True), ("oja_passes", 3)]:
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text(json.dumps({"p": 8, "m": 2, "n": 100, "eps_grid": [0.5], key: value}))
+        with pytest.raises(SystemExit, match=key):
+            main(argv + ["--config", str(cfg)])
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_rejects_unknown_scenario(tmp_path):

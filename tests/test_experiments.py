@@ -462,7 +462,7 @@ class TestEstimatePlugins:
     def test_recovers_spiked_scales(self):
         model = make_model(20, 1, 10.0, 1.0, 31)
         data = sample(model, 20000, 7)
-        lam_hat, sig_hat = estimate_plugins(data, r=1, top_k=1, tail_range=(3, 20))
+        lam_hat, sig_hat = estimate_plugins(data, top_k=1, tail_range=(3, 20))
         assert abs(lam_hat - 10.0) <= 1.0
         assert abs(sig_hat - 1.0) <= 0.1
 
@@ -470,21 +470,21 @@ class TestEstimatePlugins:
         # No spike: a pure-noise model with a negligible deformation.
         model = make_model(10, 1, 1e-6, 1.0, 8)
         data = sample(model, 10000, 9)
-        lam_hat, sig_hat = estimate_plugins(data, r=1, top_k=1, tail_range=(2, 10))
+        lam_hat, sig_hat = estimate_plugins(data, top_k=1, tail_range=(2, 10))
         assert abs(lam_hat) <= 0.15
         assert abs(sig_hat - 1.0) <= 0.1
 
     def test_full_tail_on_isotropic_data(self):
         model = make_model(10, 1, 1e-6, 2.0, 8)
         data = sample(model, 100_000, 10)
-        _, sig_hat = estimate_plugins(data, r=1, top_k=1, tail_range=(1, 10))
+        _, sig_hat = estimate_plugins(data, top_k=1, tail_range=(1, 10))
         assert abs(sig_hat - 2.0) <= 0.1
 
     def test_no_subtract_mirrors_raw_average(self):
         model = make_model(12, 1, 6.0, 1.0, 3)
         data = sample(model, 5000, 4)
-        lam_sub, sig = estimate_plugins(data, 1, 1, (3, 12))
-        lam_raw, _ = estimate_plugins(data, 1, 1, (3, 12), subtract_sigma=False)
+        lam_sub, sig = estimate_plugins(data, 1, (3, 12))
+        lam_raw, _ = estimate_plugins(data, 1, (3, 12), subtract_sigma=False)
         assert lam_raw == pytest.approx(lam_sub + sig, rel=1e-12)
 
     def test_degenerate_tail_rejected(self):
@@ -493,17 +493,17 @@ class TestEstimatePlugins:
         coeffs = np.random.default_rng(0).standard_normal((1, 60))
         data = Dataset(u @ coeffs)  # rank one: eigenvalues 2..5 are zero
         with pytest.raises(ValueError, match="degenerate"):
-            estimate_plugins(data, 1, 1, (3, 5))
+            estimate_plugins(data, 1, (3, 5))
 
     def test_tail_validation(self):
         model = make_model(6, 1, 4.0, 1.0, 2)
         data = sample(model, 50, 3)
         with pytest.raises(ValueError):
-            estimate_plugins(data, 1, 1, (0, 5))
+            estimate_plugins(data, 1, (0, 5))
         with pytest.raises(ValueError):
-            estimate_plugins(data, 1, 1, (4, 8))
+            estimate_plugins(data, 1, (4, 8))
         with pytest.raises(ValueError):
-            estimate_plugins(data, 1, 9, (2, 5))
+            estimate_plugins(data, 9, (2, 5))
 
 
 class TestRealdata:

@@ -140,7 +140,7 @@ class TestEmpiricalSensitivity:
     def test_below_analytic_bound(self):
         model = make_model(20, 1, 10.0, 1.0, 7)
         got = empirical_projector_sensitivity(model, 500, 1, trials=10, seed=3)
-        bound = projector_sensitivity_bound(20, 1, 500, 10.0, 1.0, const=4.0)
+        bound = projector_sensitivity_bound(20, 1, 500, 10.0, 1.0)
         assert got <= bound
 
     def test_inverse_n_scaling(self):

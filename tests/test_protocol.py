@@ -329,6 +329,41 @@ class TestSession:
         np.testing.assert_allclose(result.weights.pca_w, [0.5 / 0.7, 0.2 / 0.7])
 
 
+class TestServerHandle:
+    """Bad server settings are refused before any client computes a release."""
+
+    @pytest.mark.parametrize(
+        "field, kwargs",
+        [
+            ("scheme", dict(lam=8.0, scheme="optimum")),
+            ("rank_r", dict(rank_r=0, lam=8.0)),
+            ("sigma2", dict(sigma2=float("nan"), explicit=True)),
+            ("sigma2", dict(sigma2=-1.0, explicit=True)),
+            ("sigma2", dict(sigma2=float("inf"), lam=8.0)),
+            ("lam", dict(lam=-1.0)),
+            ("lam", dict(lam=float("nan"))),
+        ],
+        ids=[
+            "unknown-scheme",
+            "rank-0",
+            "nan-sigma2",
+            "negative-sigma2",
+            "inf-sigma2",
+            "negative-lam",
+            "nan-lam",
+        ],
+    )
+    def test_bad_setting_names_its_field(self, field, kwargs):
+        from fedspike import AggregationWeights
+
+        args = dict(rank_r=1, sigma2=1.0)
+        if kwargs.pop("explicit", False):
+            args["weights"] = AggregationWeights([0.5, 0.5], [0.5, 0.5], "optimal")
+        args.update(kwargs)
+        with pytest.raises(ValueError, match=f"^{field}: "):
+            ServerHandle(**args)
+
+
 class _GarbageTcp(TcpTransport):
     """TCP transport on which one client sends undecodable bytes in one round."""
 
