@@ -31,6 +31,7 @@ from .model import (
     SpikedModel,
     covariance_matrix,
     fill_normals,
+    load_dataset_csv,
     projection_distance,
     random_orthonormal,
     sample,
@@ -44,7 +45,8 @@ from .protocol import (
     run_federated_session,
 )
 from .rng import derive_seed, rng_from
-from .server import aggregate_reference, pca_weights
+from .rates import RateInputs
+from .server import aggregate_reference, pca_weights, weights_from_rate_inputs
 from .spectral import explained_variance, sym_eig
 from .svgplot import render_line_plot
 
@@ -208,7 +210,7 @@ def _make_datasets(
     sweep_index: int,
     rep: int,
     held: dict,
-    pairing: _PairingCheck | None,
+    pairing: _PairingCheck,
 ) -> list[Dataset]:
     """The clients' datasets of one cell; draws already in ``held`` are reused.
 
@@ -217,8 +219,7 @@ def _make_datasets(
     finished by ``sample`` in client order on this thread, and each is
     handed to ``pairing``, which digests it while the next one is finished.
     Only the fills run on the pool: the buffers are allocated here, and the
-    BLAS work of ``sample`` stays on this thread. Without ``pairing`` each
-    draw is filled inline by ``sample``.
+    BLAS work of ``sample`` stays on this thread.
     """
     if spec.scenario == "fixed_total":
         # One pooled draw per replication, partitioned among the clients, so
@@ -241,19 +242,15 @@ def _make_datasets(
             continue
         n_j = layout[j][0]
         seed = derive_seed(spec.base_seed, spec.scenario, *labels)
-        normals = filled = None
-        if pairing is not None:
-            normals = (np.empty((spec.r, n_j)), np.empty((spec.p, n_j)))
-            filled = pairing.pool.submit(fill_normals, seed, *normals)
+        normals = (np.empty((spec.r, n_j)), np.empty((spec.p, n_j)))
+        filled = pairing.pool.submit(fill_normals, seed, *normals)
         fresh.append((j, labels, seed, normals, filled))
     fresh.reverse()
     while fresh:  # popped, so each draw's buffers are freed once it is a Dataset
         j, labels, seed, normals, filled = fresh.pop()
-        if filled is not None:
-            filled.result()
+        filled.result()
         d = sample(model, layout[j][0], seed, f"c{j:03d}", normals)
-        if pairing is not None:
-            pairing.drawn(d)
+        pairing.drawn(d)
         held[labels] = d
     return [held[labels] for labels in cell]
 
@@ -393,18 +390,19 @@ def run_scenario(
     held (one cell's in heterogeneous). Records come out in (sweep point,
     replication, method) order.
 
-    With ``verify_pairing`` each dataset is digested (sha256) when it is
-    drawn and again after the last cell that uses it; a mismatch (a method
-    wrote into shared data) raises ``RuntimeError`` naming the replication
-    and the client. The digests are taken on a pool of one helper thread per
-    core, which also fills each cell's Philox streams concurrently (every
-    scenario but fixed_total, whose pool is one draw); the rest of each draw
-    runs on the calling thread, and the data are bit-identical to inline
-    draws. The pool is stopped before this returns; without
-    ``verify_pairing`` no thread is started and the draws fill inline.
-    ``data_digests`` maps each (sweep index, replication) cell to the
-    digests of its clients' datasets.
+    Each dataset is digested (sha256) when it is drawn and again after the
+    last cell that uses it; a mismatch (a method wrote into shared data)
+    raises ``RuntimeError`` naming the replication and the client. The
+    digests are taken on a pool of one helper thread per core, which also
+    fills each cell's Philox streams concurrently (every scenario but
+    fixed_total, whose pool is one draw); the rest of each draw runs on the
+    calling thread, and the data are bit-identical to one-by-one ``sample``
+    draws. The pool is stopped before this returns. ``data_digests`` maps
+    each (sweep index, replication) cell to the digests of its clients'
+    datasets. ``verify_pairing`` must be True: the check is not optional.
     """
+    if not verify_pairing:
+        raise ValueError("verify_pairing: the pairing check is always on; pass True or omit it")
     values = sweep_values(spec)
     for sweep_index, sv in enumerate(values):
         layout = client_layout(spec, sv, sweep_index, 0)
@@ -416,10 +414,8 @@ def run_scenario(
 
     cells = [[[] for _ in range(spec.replications)] for _ in values]
     digests: dict = {}
-    pairing = None
-    if verify_pairing:
-        pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="fedspike-digest")
-        pairing = _PairingCheck(pool)
+    pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="fedspike-digest")
+    pairing = _PairingCheck(pool)
     try:
         for rep in range(spec.replications):
             held: dict = {}  # this replication's draws, keyed by seed labels
@@ -429,8 +425,7 @@ def run_scenario(
                 model = _make_model(spec, sweep_index, rep, held)
                 datasets = _make_datasets(spec, model, layout, sweep_index, rep, held, pairing)
                 cfgs = _client_configs(spec, layout, sweep_index, rep)
-                if pairing is not None:
-                    digests[(sweep_index, rep)] = pairing.hand_out(datasets)
+                digests[(sweep_index, rep)] = pairing.hand_out(datasets)
                 truth = covariance_matrix(model)
                 for method in spec.methods:
                     t0 = time.perf_counter()
@@ -455,14 +450,11 @@ def run_scenario(
                     )
                 if _sweep_in_data_seed(spec):
                     held.clear()  # the next sweep point draws its own data
-                if pairing is not None:
-                    pairing.release(held, f"replication {rep} at sweep {sv}")
+                pairing.release(held, f"replication {rep} at sweep {sv}")
             held.clear()
-            if pairing is not None:
-                pairing.release(held, f"replication {rep}")
+            pairing.release(held, f"replication {rep}")
     finally:
-        if pairing is not None:
-            pairing.close()
+        pairing.close()
 
     records = [rec for row in cells for cell in row for rec in cell]
     result = ScenarioResult(spec=spec, records=records, data_digests=digests)
@@ -617,16 +609,10 @@ def run_realdata(matrix_csv, spec: RealdataSpec) -> list[dict]:
     """Split a p x N matrix among clients, run the exchange, report
     explained variance of each method's aggregated frame on the held-in
     pool. Deterministic given spec.seed."""
-    from .rates import RateInputs
-    from .server import weights_from_rate_inputs
-
     if isinstance(matrix_csv, np.ndarray):
         x_full = np.asarray(matrix_csv, dtype=float)
     else:
-        rows = np.loadtxt(
-            matrix_csv, delimiter=",", skiprows=1 if spec.header else 0, ndmin=2
-        )
-        x_full = rows.T
+        x_full = load_dataset_csv(matrix_csv, header=spec.header).samples
     p, n_total = x_full.shape
     sizes = [int(s) for s in spec.client_sizes]
     need = sum(sizes)

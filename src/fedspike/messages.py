@@ -33,7 +33,9 @@ def _check_orthonormal(u: np.ndarray, name: str) -> None:
         raise MessageError(f"{name} must be a p x r matrix with r <= p")
     if not np.all(np.isfinite(u)):
         raise MessageError(f"{name} contains non-finite entries")
-    err = np.linalg.norm(u.T @ u - np.eye(u.shape[1]))
+    # Huge finite entries overflow to inf or nan here; both are refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        err = np.linalg.norm(u.T @ u - np.eye(u.shape[1]))
     if not err <= _ORTHO_TOL:
         raise MessageError(f"{name} is not orthonormal (deviation {err:.3e})")
 
@@ -102,7 +104,8 @@ class EigenvalueMessage:
             raise MessageError("lambda_hat must be a square matrix")
         if not np.all(np.isfinite(lam)):
             raise MessageError("lambda_hat contains non-finite entries")
-        asym = np.max(np.abs(lam - lam.T)) if lam.size else 0.0
+        with np.errstate(over="ignore", invalid="ignore"):  # +-1e308 differ by inf
+            asym = np.max(np.abs(lam - lam.T)) if lam.size else 0.0
         if not asym <= _SYM_TOL:
             raise MessageError(f"lambda_hat is not symmetric (deviation {asym:.3e})")
 

@@ -10,6 +10,14 @@ per-step noise splits the client's whole budget across its T updates,
 with Delta_step = 2 * clip_norm^2 (the worst-case gradient change under a
 one-datum replacement given the clip ball). Only the qualitative ordering
 against the main method is meaningful.
+
+This sigma is conservative by sqrt(T). With one pass, each sample enters
+exactly one step, which given the frame before it is a Gaussian mechanism
+with sensitivity Delta_step (earlier steps do not depend on the sample,
+later ones are post-processing), so a per-step (epsilon, delta) calibration
+already suffices. At criterion 11's shape (m=10, n=1e4, p=50, r=1,
+epsilon=0.5) the baseline's projection error sits at the random-frame level
+sqrt(2r(1 - r/p)) ~= 1.40.
 """
 
 from __future__ import annotations

@@ -3,7 +3,9 @@
 Weight/message pairing is always by client_id (stable sort), never by
 arrival order. All weight schemes produce simplex vectors; the "optimal"
 scheme is inverse-square in the per-client subspace rate, and the
-"data_independent" scheme is inverse-square in the budget-only bracket.
+"data_independent" scheme is inverse-square in that rate's bracket without
+its (lam, sigma2) prefactor. The covariance weights discount each client's
+eigenvalue noise by the very variance that ``privacy.calibrate`` sets.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .messages import EigenvalueMessage, ProjectorMessage
-from .rates import RateInputs, psi0_tilde
+from .privacy import PrivacyBudget, calibrate
+from .rates import RateInputs, _check_consistent, _psi0_bracket, psi0_tilde
 from .spectral import svd_r
 
 logger = logging.getLogger(__name__)
@@ -74,20 +77,10 @@ def _normalized(raw: np.ndarray) -> np.ndarray:
 
 
 def _cov_raw(c: RateInputs) -> float:
-    noise = (
-        8.0
-        / c.epsilon**2
-        * math.log(2.5 / c.delta)
-        * (c.lam**2 * (c.r + math.log(c.n)) ** 2 + c.sigma2**2 * c.p**2)
-        / c.n**2
-    )
-    return 1.0 / ((c.lam**2 + c.sigma2**2) / c.n + noise)
-
-
-def _data_independent_bracket(c: RateInputs) -> float:
-    return math.sqrt(c.p / c.n) + (c.p / (c.n * c.epsilon)) * math.sqrt(
-        (c.r + math.log(c.n)) * math.log(2.5 / c.delta)
-    )
+    """Inverse eigenvalue-block error: sampling plus ``calibrate``'s noise."""
+    budget = PrivacyBudget(c.epsilon, c.delta)
+    beta_sq = calibrate(budget, c.p, c.r, c.n, c.lam, c.sigma2).beta_sq
+    return 1.0 / ((c.lam**2 + c.sigma2**2) / c.n + beta_sq)
 
 
 def weights_from_rate_inputs(
@@ -96,21 +89,18 @@ def weights_from_rate_inputs(
     """Weights from fully specified per-client rate inputs.
 
     Accepts heterogeneous plug-in (lam, sigma2) across clients, which is
-    the real-data workflow where each client estimates its own scales.
+    the real-data workflow where each client estimates its own scales; the
+    clients must share (p, r).
     """
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}; choose one of {SCHEMES}")
+    _check_consistent(clients)
     m = len(clients)
-    if m < 1:
-        raise ValueError("need at least one client")
     if scheme == "equal":
         w = np.full(m, 1.0 / m)
         return AggregationWeights(w, w.copy(), scheme)
-    if scheme == "optimal":
-        w = _normalized(np.array([psi0_tilde(c) ** -2 for c in clients]))
-    else:
-        brackets = np.array([_data_independent_bracket(c) for c in clients])
-        w = _normalized(brackets**-2)
+    rate = psi0_tilde if scheme == "optimal" else _psi0_bracket
+    w = _normalized(np.array([rate(c) ** -2 for c in clients]))
     v = _normalized(np.array([_cov_raw(c) for c in clients]))
     return AggregationWeights(w, v, scheme)
 

@@ -405,15 +405,13 @@ def test_pooled_draws_equal_inline_draws(scenario, r):
         pairing = experiments._PairingCheck(pool)
         pooled = experiments._make_datasets(spec, model, layout, sweep_index, 0, {}, pairing)
         pairing.hand_out(pooled)
-    inline = experiments._make_datasets(spec, model, layout, sweep_index, 0, {}, None)
-    assert len(pooled) == len(inline) == len(layout)
-    for j, (a, b) in enumerate(zip(pooled, inline)):
+    assert len(pooled) == len(layout)
+    for j, got in enumerate(pooled):
         labels = ("data", sweep_index, 0, j) if scenario == "heterogeneous" else ("data", 0, j)
         seed = derive_seed(spec.base_seed, scenario, *labels)
         want = sample(model, layout[j][0], seed, f"c{j:03d}")
-        assert a.client_id == b.client_id == want.client_id
-        assert np.array_equal(a.samples, want.samples)
-        assert np.array_equal(b.samples, want.samples)
+        assert got.client_id == want.client_id
+        assert np.array_equal(got.samples, want.samples)
 
 
 def test_a_failing_fill_fails_the_run(monkeypatch):
@@ -441,6 +439,8 @@ def test_a_failing_fill_fails_the_run(monkeypatch):
 
 @pytest.mark.parametrize("verify_pairing", [True, False])
 def test_digest_threads_live_only_while_the_run_checks_pairing(verify_pairing, monkeypatch):
+    """The check is not optional: ``verify_pairing=False`` is refused before
+    any thread starts."""
     from fedspike import experiments
 
     pools = []
@@ -453,7 +453,11 @@ def test_digest_threads_live_only_while_the_run_checks_pairing(verify_pairing, m
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", recording)
     before = set(threading.enumerate())
     spec = default_spec("privacy_utility", **GOLDEN_SPECS["privacy_utility"])
-    run_scenario(spec, verify_pairing=verify_pairing)
+    if verify_pairing:
+        run_scenario(spec, verify_pairing=True)
+    else:
+        with pytest.raises(ValueError, match="^verify_pairing:"):
+            run_scenario(spec, verify_pairing=False)
     assert len(pools) == int(verify_pairing)
     assert [t for t in threading.enumerate() if t not in before] == []
 

@@ -3,6 +3,7 @@ import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -100,6 +101,26 @@ class TestCodec:
         obj["u_hat"]["data"] = [v * 1.01 for v in obj["u_hat"]["data"]]
         with pytest.raises(MessageDecodeError, match="orthonormal"):
             decode(json.dumps(obj).encode())
+
+    @pytest.mark.parametrize(
+        "kind, field, rows, refusal",
+        [
+            ("broadcast", "u_hat_global", [[1e200], [1e200], [0.0]], "not orthonormal"),
+            ("eigenvalues", "lambda_hat", [[1.0, 1e308], [-1e308, 1.0]], "not symmetric"),
+        ],
+        ids=["broadcast", "eigenvalues"],
+    )
+    def test_huge_entries_are_refused_without_a_warning(self, kind, field, rows, refusal):
+        # The validity checks overflow on these; the refusal must be the only signal.
+        data = [x for row in rows for x in row]
+        obj = {"type": kind, "schema_version": 1, "round": 2}
+        obj[field] = {"rows": len(rows), "cols": len(rows[0]), "data": data}
+        if kind == "eigenvalues":
+            obj["client_id"] = "c0"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(MessageDecodeError, match=refusal):
+                decode(json.dumps(obj).encode())
 
     def test_non_finite_rejected_on_encode(self):
         msg = _projector_msg()

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 from conftest import make_model, projector_gap
+from hypothesis import given
+from hypothesis import strategies as st
 
 from fedspike import (
     AggregationWeights,
@@ -18,8 +20,8 @@ from fedspike import (
 )
 from fedspike.client import local_raw_noisy_projector
 from fedspike.messages import EigenvalueMessage, ProjectorMessage
-from fedspike.rates import RateInputs
-from fedspike.server import weights_from_rate_inputs
+from fedspike.rates import RateInputs, pca_bound, psi0_tilde
+from fedspike.server import SCHEMES, weights_from_rate_inputs
 
 SHARED = dict(p=50, r=1, lam=10.0, sigma2=1.0)
 PAIR_PARAMS = [(1000, 0.5, 0.1), (10000, 0.5, 0.1)]
@@ -58,9 +60,9 @@ class TestWeights:
         np.testing.assert_allclose(w.cov_v, V_PAIR, rtol=1e-10)
 
     def test_data_independent_matches_optimal_for_shared_plugins(self):
-        # The shared prefactor and sqrt(r) factors cancel in normalization,
-        # so the inverse-square data-independent weights coincide with the
-        # optimal ones whenever (lam, sigma2, r, p) are common.
+        # The data-independent scheme drops psi0_tilde's (lam, sigma2)
+        # prefactor, which cancels in normalization when the plug-ins are
+        # common, so the two schemes coincide.
         w_opt = pca_weights(PAIR_PARAMS, scheme="optimal", **SHARED)
         w_di = pca_weights(PAIR_PARAMS, scheme="data_independent", **SHARED)
         np.testing.assert_allclose(w_di.pca_w, w_opt.pca_w, rtol=1e-12)
@@ -94,12 +96,75 @@ class TestWeights:
             AggregationWeights([-0.1, 1.1], [0.5, 0.5], "equal")
         with pytest.raises(ValueError):
             pca_weights([], **SHARED)
+        mixed = [RateInputs(1000, 0.5, 0.1, p, r, 10.0, 1.0) for p, r in ((50, 1), (40, 3))]
+        with pytest.raises(ValueError, match=r"share the same \(p, r\)"):
+            weights_from_rate_inputs(mixed)
 
     def test_restrict_renormalizes(self):
         w = AggregationWeights([0.2, 0.3, 0.5], [0.1, 0.4, 0.5], "optimal")
         sub = w.restrict(["a", "c"], ["a", "b", "c"])
         np.testing.assert_allclose(sub.pca_w, [0.2 / 0.7, 0.5 / 0.7])
         np.testing.assert_allclose(sub.cov_v, [0.1 / 0.6, 0.5 / 0.6])
+
+    @pytest.mark.parametrize("scheme", ["optimal", "data_independent"])
+    def test_a_single_observation_is_refused(self, scheme):
+        # calibrate refuses n = 1 (log n = 0), so no weight may be built on it.
+        clients = [RateInputs(n, 0.5, 0.1, 30, 1, 10.0, 1.0) for n in (1, 500)]
+        with pytest.raises(ValueError, match="n must be at least 2"):
+            weights_from_rate_inputs(clients, scheme)
+
+
+@st.composite
+def _layouts(draw):
+    """Clients sharing (p, r), each with its own (n, epsilon, delta) and plug-ins."""
+    p = draw(st.integers(1, 500))
+    r = draw(st.integers(1, min(p, 8)))
+    m = draw(st.integers(1, 8))
+    return [
+        RateInputs(
+            draw(st.integers(2, 10**6)),
+            draw(st.floats(0.01, 10.0)),
+            draw(st.floats(1e-6, 0.5)),
+            p,
+            r,
+            draw(st.floats(0.1, 1e3)),
+            draw(st.floats(0.01, 1e2)),
+        )
+        for _ in range(m)
+    ]
+
+
+class TestHarmonicMean:
+    """The abstract's first claim: the server's rate is the harmonic mean of
+    the clients' rates, attained by the optimal weights."""
+
+    @given(_layouts(), st.data())
+    def test_optimal_weights_attain_the_harmonic_bound(self, clients, data):
+        psi_sq = np.array([psi0_tilde(c) ** 2 for c in clients])
+        harmonic = 1.0 / np.sum(1.0 / psi_sq)
+        w = weights_from_rate_inputs(clients, "optimal").pca_w
+        # Stationarity on the simplex: w_j psi_j^2 is the same for every j,
+        # which for this strictly convex objective is its unique minimum.
+        np.testing.assert_allclose(w * psi_sq, harmonic, rtol=1e-12)
+        assert np.sum(w**2 * psi_sq) == pytest.approx(harmonic, rel=1e-12)
+        m = len(clients)
+        other = np.array(data.draw(st.lists(st.floats(0.0, 1.0), min_size=m, max_size=m)))
+        if other.sum() > 0:
+            other = other / other.sum()
+            assert np.sum(other**2 * psi_sq) >= harmonic * (1.0 - 1e-12)
+        cap = 2.0 * clients[0].r
+        assert pca_bound(clients) == pytest.approx(min(harmonic, cap), rel=1e-12)
+
+    @given(_layouts(), st.data())
+    def test_restrict_equals_weights_over_the_responders(self, clients, data):
+        ids = [f"c{j:03d}" for j in range(len(clients))]
+        keep = data.draw(st.lists(st.sampled_from(ids), min_size=1, unique=True))
+        kept = [c for cid, c in zip(ids, clients) if cid in keep]
+        for scheme in SCHEMES:
+            restricted = weights_from_rate_inputs(clients, scheme).restrict(keep, ids)
+            direct = weights_from_rate_inputs(kept, scheme)
+            np.testing.assert_allclose(restricted.pca_w, direct.pca_w, rtol=1e-12)
+            np.testing.assert_allclose(restricted.cov_v, direct.cov_v, rtol=1e-12)
 
 
 class TestAggregateProjectors:
