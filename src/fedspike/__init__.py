@@ -27,7 +27,6 @@ from .model import (
     projection_distance,
     random_orthonormal,
     sample,
-    save_dataset_csv,
 )
 from .oja import OjaConfig, default_clip_norm, fed_dp_oja
 from .privacy import (

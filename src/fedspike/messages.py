@@ -28,6 +28,13 @@ class MessageDecodeError(MessageError):
     """A byte string could not be decoded into a valid message."""
 
 
+def _frozen(a) -> np.ndarray:
+    """A read-only float copy: a message's arrays do not change once it is built."""
+    out = np.array(a, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 def _check_orthonormal(u: np.ndarray, name: str) -> None:
     if u.ndim != 2 or u.shape[0] < u.shape[1]:
         raise MessageError(f"{name} must be a p x r matrix with r <= p")
@@ -64,7 +71,7 @@ class ProjectorMessage:
 
     def __post_init__(self):
         _check_client_id(self.client_id)
-        object.__setattr__(self, "u_hat", np.array(self.u_hat, dtype=float))
+        object.__setattr__(self, "u_hat", _frozen(self.u_hat))
         _check_orthonormal(self.u_hat, "u_hat")
         if int(self.n) < 1:
             raise MessageError("n must be a positive integer")
@@ -83,7 +90,7 @@ class BroadcastMessage:
     round = 2
 
     def __post_init__(self):
-        object.__setattr__(self, "u_hat_global", np.array(self.u_hat_global, dtype=float))
+        object.__setattr__(self, "u_hat_global", _frozen(self.u_hat_global))
         _check_orthonormal(self.u_hat_global, "u_hat_global")
 
 
@@ -98,7 +105,7 @@ class EigenvalueMessage:
 
     def __post_init__(self):
         _check_client_id(self.client_id)
-        lam = np.array(self.lambda_hat, dtype=float)
+        lam = _frozen(self.lambda_hat)
         object.__setattr__(self, "lambda_hat", lam)
         if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
             raise MessageError("lambda_hat must be a square matrix")

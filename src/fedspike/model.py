@@ -197,11 +197,6 @@ def projection_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def save_dataset_csv(data: Dataset, path) -> None:
-    """Write observations one per row (p columns, no header)."""
-    np.savetxt(path, data.samples.T, delimiter=",", fmt="%.17g")
-
-
 def load_dataset_csv(path, header: bool = False, client_id: str | None = None) -> Dataset:
     """Read a dataset written one observation per row; `header` skips row 1."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)

@@ -91,19 +91,36 @@ def sample_symmetric_noise(
         raise ValueError("p must be positive")
     if not variance > 0:
         raise ValueError("variance must be positive")
-    rng = rng_from(seed, "sym-noise")
     count = 1 if size is None else int(size)
     if count < 1:
         raise ValueError("size must be positive")
-    n_off = p * (p - 1) // 2
-    off = rng.standard_normal((count, n_off)) * math.sqrt(variance)
-    diag = rng.standard_normal((count, p)) * math.sqrt(2.0 * variance)
+    out = scale_symmetric_normals(*draw_symmetric_normals(p, seed, count), variance)
+    return out[0] if size is None else out
+
+
+def draw_symmetric_normals(p: int, seed: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The standard normals behind `count` symmetric p x p noise matrices.
+
+    Drawn in ``sample_symmetric_noise``'s order from its stream: the strict
+    lower triangles (count x p(p-1)/2) first, then the diagonals (count x p).
+    """
+    rng = rng_from(seed, "sym-noise")
+    return rng.standard_normal((count, p * (p - 1) // 2)), rng.standard_normal((count, p))
+
+
+def scale_symmetric_normals(off: np.ndarray, diag: np.ndarray, variance: float) -> np.ndarray:
+    """The count x p x p noise matrices made from ``draw_symmetric_normals``.
+
+    Scales the strict lower triangles to variance `variance` and the
+    diagonals to 2*variance, and mirrors the lower triangles above.
+    """
+    count, p = diag.shape
     out = np.zeros((count, p, p))
     rows, cols = np.tril_indices(p, -1)
-    out[:, rows, cols] = off
+    out[:, rows, cols] = off * math.sqrt(variance)
     out += out.transpose(0, 2, 1)
-    out[:, np.arange(p), np.arange(p)] = diag
-    return out[0] if size is None else out
+    out[:, np.arange(p), np.arange(p)] = diag * math.sqrt(2.0 * variance)
+    return out
 
 
 def projector_sensitivity_bound(p: int, r: int, n: int, lam: float, sigma2: float) -> float:

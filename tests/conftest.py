@@ -31,6 +31,12 @@ def make_model(p: int, r: int, lam, sigma2: float, seed: int) -> SpikedModel:
     return SpikedModel(random_orthonormal(p, r, seed), spikes, sigma2)
 
 
+def save_dataset_csv(x: np.ndarray, path) -> None:
+    """Write a p x n matrix one observation per row (p columns, no header),
+    as ``fedspike.load_dataset_csv`` reads it."""
+    np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+
+
 def spearman(x, y) -> float:
     """Spearman rank correlation (no ties expected in these uses)."""
     x = np.asarray(x)

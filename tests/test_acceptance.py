@@ -273,11 +273,43 @@ def test_criterion_11_baseline_ordering():
     oja = {r.replication: r.projection_error for r in records if r.method == "oja"}
     wins = sum(oja[k] > fed[k] for k in fed)
     ok = wins >= 45
+    # A uniformly random r-frame has expected squared error 2r(1 - r/p).
+    random_frame = np.sqrt(2 * spec.r * (1 - spec.r / spec.p))
     _report(
         11,
         "baseline ordering",
         ok,
         f"oja error exceeds main method in {wins}/50 paired reps "
         f"(mean oja={np.mean(list(oja.values())):.3f}, "
+        f"random-frame level={random_frame:.3f}, "
         f"mean fedspike={np.mean(list(fed.values())):.3f})",
     )
+
+
+def test_one_consistent_client_makes_the_server_consistent():
+    # The abstract's second claim. Nine weak clients (n=200, eps=0.05) are
+    # inadmissible; one strong client (n=20000, eps=1) is consistent. The
+    # optimal weights must follow the strong client, and equal weights must
+    # not. Thresholds were set from a 10-rep measurement (optimal 0.033,
+    # strong alone 0.033, equal 1.272) before this test was first run.
+    p, r, lam, s2, reps = 50, 1, 10.0, 1.0, 10
+    layout = [(200, 0.05)] * 9 + [(20000, 1.0)]
+    errors: dict = {"optimal": [], "equal": [], "strong": []}
+    for rep in range(reps):
+        model = make_model(p, r, lam, s2, 43000 + rep)
+        clients = []
+        for j, (n, eps) in enumerate(layout):
+            data = fs.sample(model, n, 43100 + 10 * rep + j, client_id=f"c{j}")
+            budget = fs.PrivacyBudget(eps, 0.1)
+            cfg = fs.ClientConfig(f"c{j}", budget, r, lam, s2, 43200 + 10 * rep + j)
+            clients.append(fs.ClientHandle(data, cfg))
+        for scheme in ("optimal", "equal"):
+            server = fs.ServerHandle(rank_r=r, sigma2=s2, lam=lam, scheme=scheme)
+            u_hat = fs.run_federated_session(clients, server, fs.InProcessTransport()).u_hat
+            errors[scheme].append(fs.projection_distance(u_hat, model.basis_u))
+        strong = clients[-1].projector().u_hat
+        errors["strong"].append(fs.projection_distance(strong, model.basis_u))
+    mean = {k: float(np.mean(v)) for k, v in errors.items()}
+    assert mean["optimal"] <= 0.1, mean
+    assert mean["optimal"] <= 2.0 * mean["strong"], mean
+    assert mean["equal"] >= 0.5, mean

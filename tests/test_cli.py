@@ -1,9 +1,8 @@
 import csv
 import json
 
-import numpy as np
 import pytest
-from conftest import make_model
+from conftest import make_model, save_dataset_csv
 
 from fedspike import sample
 from fedspike.cli import main
@@ -63,7 +62,7 @@ def test_realdata_reports_and_writes(tmp_path, capsys):
     model = make_model(10, 2, [300.0, 200.0], 1.0, 3)
     x = sample(model, 40, 5).samples
     path = tmp_path / "data.csv"
-    np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+    save_dataset_csv(x, path)
     out = tmp_path / "report.csv"
     code = main(
         [

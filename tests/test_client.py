@@ -226,6 +226,36 @@ class TestLocalMoments:
         eig_fresh = local_private_eigenvalues(sample(model, 90, 8), first.u_hat, cfg)
         assert np.array_equal(eig.lambda_hat, eig_fresh.lambda_hat)
 
+    def test_the_cache_is_invisible(self):
+        # Warm: one dataset serves a budget sweep, so the second and third
+        # budgets reuse the first one's noise normals, and each repeated
+        # round-1 call reuses the release. Cold: each call on its own copy.
+        from fedspike import Dataset
+
+        model = make_model(12, 2, [8.0, 5.0], 1.0, 21)
+        data = sample(model, 150, 22)
+        cfgs = [_cfg(seed=23, r=2, eps=eps) for eps in (0.2, 0.9, 4.0)]
+        releases = {
+            "projector": lambda d, cfg: local_private_projector(d, cfg).u_hat,
+            "raw": local_raw_noisy_projector,
+            "eigenvalues": lambda d, cfg: local_private_eigenvalues(
+                d, model.basis_u, cfg
+            ).lambda_hat,
+        }
+        for cfg in cfgs:
+            for _ in range(2):
+                for name, release in releases.items():
+                    warm = release(data, cfg)
+                    cold = release(Dataset(data.samples), cfg)
+                    assert np.array_equal(warm, cold), (name, cfg.budget.epsilon)
+
+    def test_a_cached_frame_is_read_only(self):
+        model = make_model(10, 1, 8.0, 1.0, 7)
+        data = sample(model, 90, 8)
+        for msg in (local_private_projector(data, _cfg()), local_private_projector(data, _cfg())):
+            with pytest.raises(ValueError):
+                msg.u_hat[0, 0] = 1.0
+
     def test_rank_change_recomputes_the_frame(self):
         model = make_model(10, 2, [8.0, 6.0], 1.0, 7)
         data = sample(model, 90, 8)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import make_model, projector_gap
+from conftest import make_model, projector_gap, save_dataset_csv
 
 from fedspike import (
     Dataset,
@@ -10,7 +10,6 @@ from fedspike import (
     projection_distance,
     random_orthonormal,
     sample,
-    save_dataset_csv,
 )
 from fedspike.model import fill_normals
 
@@ -208,7 +207,7 @@ class TestDataset:
         model = make_model(3, 1, 4.0, 1.0, 6)
         data = sample(model, 17, 13, client_id="a")
         path = tmp_path / "obs.csv"
-        save_dataset_csv(data, path)
+        save_dataset_csv(data.samples, path)
         back = load_dataset_csv(path, client_id="a")
         assert np.array_equal(back.samples, data.samples)
 

@@ -14,6 +14,7 @@ from fedspike import (
     sample_symmetric_noise,
     sensitivity_margin,
 )
+from fedspike.rng import rng_from
 from fedspike.spectral import sym_eig
 
 # Pinned by 50-digit evaluation of the calibration formulas at
@@ -76,7 +77,30 @@ class TestCalibrate:
             NoiseCalibration(1.0, math.inf)
 
 
+def _frozen_sample_symmetric_noise(p, variance, seed, size=None):
+    """sample_symmetric_noise's body before it was split into a draw and a
+    scale step, kept verbatim as the bit-level reference."""
+    rng = rng_from(seed, "sym-noise")
+    count = 1 if size is None else int(size)
+    n_off = p * (p - 1) // 2
+    off = rng.standard_normal((count, n_off)) * math.sqrt(variance)
+    diag = rng.standard_normal((count, p)) * math.sqrt(2.0 * variance)
+    out = np.zeros((count, p, p))
+    rows, cols = np.tril_indices(p, -1)
+    out[:, rows, cols] = off
+    out += out.transpose(0, 2, 1)
+    out[:, np.arange(p), np.arange(p)] = diag
+    return out[0] if size is None else out
+
+
 class TestSymmetricNoise:
+    @pytest.mark.parametrize("size", [None, 3])
+    @pytest.mark.parametrize("p", [1, 2, 7, 50])
+    def test_bits_match_the_frozen_body(self, p, size):
+        for variance, seed in ((0.37, 5), (2.5e-7, 2**63 + 11)):
+            got = sample_symmetric_noise(p, variance, seed, size)
+            assert np.array_equal(got, _frozen_sample_symmetric_noise(p, variance, seed, size))
+
     def test_exactly_symmetric(self):
         z = sample_symmetric_noise(6, 0.3, seed=4)
         assert np.array_equal(z, z.T)
