@@ -28,7 +28,7 @@ from .model import (
     random_orthonormal,
     sample,
 )
-from .oja import OjaConfig, default_clip_norm, fed_dp_oja
+from .oja import default_clip_norm, fed_dp_oja
 from .privacy import (
     DegenerateSpectrumError,
     NoiseCalibration,

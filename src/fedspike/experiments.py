@@ -36,7 +36,7 @@ from .model import (
     random_orthonormal,
     sample,
 )
-from .oja import OjaConfig, default_clip_norm, fed_dp_oja
+from .oja import default_clip_norm, fed_dp_oja
 from .privacy import PrivacyBudget
 from .protocol import (
     ClientHandle,
@@ -179,10 +179,15 @@ def client_layout(spec: ExperimentSpec, sweep_value, sweep_index: int, rep: int)
     return [(sizes[j], float(eps[j]), float(deltas[j])) for j in range(spec.m)]
 
 
-def _sweep_in_data_seed(spec: ExperimentSpec) -> bool:
-    # Sample sizes depend on the sweep only in the heterogeneous scenario;
-    # elsewhere data seeds exclude it so sweep points share datasets.
-    return spec.scenario == "heterogeneous"
+def _labels(spec: ExperimentSpec, role: str, sweep_index: int, rep: int, *rest) -> tuple:
+    """The seed labels of a ``role`` draw (model, data, pool or dp) of a cell.
+
+    Sample sizes depend on the sweep only in the heterogeneous scenario;
+    elsewhere the labels leave out the sweep index, so sweep points share draws.
+    """
+    if spec.scenario == "heterogeneous":
+        return (role, sweep_index, rep, *rest)
+    return (role, rep, *rest)
 
 
 def _drawn(spec: ExperimentSpec, held: dict, labels: tuple, draw):
@@ -193,12 +198,11 @@ def _drawn(spec: ExperimentSpec, held: dict, labels: tuple, draw):
 
 
 def _make_model(spec: ExperimentSpec, sweep_index: int, rep: int, held: dict) -> SpikedModel:
-    labels = ("model", sweep_index, rep) if _sweep_in_data_seed(spec) else ("model", rep)
     spikes = np.full(spec.r, spec.lam)
     return _drawn(
         spec,
         held,
-        labels,
+        _labels(spec, "model", sweep_index, rep),
         lambda seed: SpikedModel(random_orthonormal(spec.p, spec.r, seed), spikes, spec.sigma2),
     )
 
@@ -224,18 +228,14 @@ def _make_datasets(
     if spec.scenario == "fixed_total":
         # One pooled draw per replication, partitioned among the clients, so
         # sweeps over m compare partitions of identical data.
-        pool = _drawn(
-            spec, held, ("pool", rep), lambda seed: sample(model, spec.total_n, seed)
-        ).samples
+        labels = _labels(spec, "pool", sweep_index, rep)
+        pool = _drawn(spec, held, labels, lambda seed: sample(model, spec.total_n, seed)).samples
         out, start = [], 0
         for j, (n_j, _, _) in enumerate(layout):
             out.append(Dataset(pool[:, start : start + n_j], f"c{j:03d}"))
             start += n_j
         return out
-    cell = [
-        ("data", sweep_index, rep, j) if _sweep_in_data_seed(spec) else ("data", rep, j)
-        for j in range(len(layout))
-    ]
+    cell = [_labels(spec, "data", sweep_index, rep, j) for j in range(len(layout))]
     fresh = []
     for j, labels in enumerate(cell):
         if labels in held:
@@ -260,9 +260,7 @@ def _client_configs(
 ) -> list[ClientConfig]:
     cfgs = []
     for j, (_, eps, delta) in enumerate(layout):
-        labels = (
-            ("dp", sweep_index, rep, j) if _sweep_in_data_seed(spec) else ("dp", rep, j)
-        )
+        labels = _labels(spec, "dp", sweep_index, rep, j)
         cfgs.append(
             ClientConfig(
                 client_id=f"c{j:03d}",
@@ -354,8 +352,9 @@ def _run_method(
         budgets = [PrivacyBudget(e, d) for _, e, d in layout]
         u_hat = fed_dp_oja(
             datasets,
-            OjaConfig(rank_r=spec.r, clip_norm=default_clip_norm(spec.lam, spec.sigma2, spec.p)),
             budgets,
+            spec.r,
+            default_clip_norm(spec.lam, spec.sigma2, spec.p),
             derive_seed(spec.base_seed, spec.scenario, "oja", sweep_index, rep),
         )
         return u_hat, None
@@ -448,7 +447,9 @@ def run_scenario(
                             seed=rep_seed,
                         )
                     )
-                if _sweep_in_data_seed(spec):
+                if _labels(spec, "data", sweep_index + 1, rep) != _labels(
+                    spec, "data", sweep_index, rep
+                ):
                     held.clear()  # the next sweep point draws its own data
                 pairing.release(held, f"replication {rep} at sweep {sv}")
             held.clear()
@@ -670,8 +671,8 @@ def run_realdata(matrix_csv, spec: RealdataSpec) -> list[dict]:
         else:
             lam_bar = float(np.mean([c.lambda_plugin for c in cfgs]))
             sig_bar = float(np.mean([c.sigma2_plugin for c in cfgs]))
-            oja_cfg = OjaConfig(rank_r=r, clip_norm=default_clip_norm(lam_bar, sig_bar, p))
-            u_hat = fed_dp_oja(datasets, oja_cfg, budgets, derive_seed(spec.seed, "realdata-oja"))
+            clip = default_clip_norm(lam_bar, sig_bar, p)
+            u_hat = fed_dp_oja(datasets, budgets, r, clip, derive_seed(spec.seed, "realdata-oja"))
         report.append(
             {"method": method, "explained_variance": explained_variance(u_hat, pool)}
         )

@@ -14,14 +14,11 @@ eta_t = 1/t, and every step ends with a QR of the stack.
 
 The reorthonormalisation calls the two gufuncs behind ``np.linalg.qr``
 (``qr_r_raw``, then ``qr_reduced``; in ``numpy.linalg._umath_linalg`` since
-numpy 1.22) rather than the wrapper. The LAPACK work and its inputs are the
-same, so the bits are too, but the wrapper's per-call Python work (dtype
-resolution, a copy, two error contexts and a ``triu(R)``) was more than half
-of a step: on a 2-core host, criterion 11's stack of 10 streams at p=50, r=1
-went from 2.5 to 1.2 us per stream-step. The error context is entered once
-per block instead. ``TestOrthonormalise`` in ``tests/test_kernels.py``
-checks the result against ``np.linalg.qr`` bit for bit, so a numpy release
-that changes the gufuncs fails there.
+numpy 1.22) rather than the wrapper, whose per-call Python work was more
+than half of a step (README, "Oja kernel"). The LAPACK work and its inputs
+are the same, so the bits are too; ``TestOrthonormalise`` in
+``tests/test_kernels.py`` checks the result against ``np.linalg.qr`` bit for
+bit, so a numpy release that changes the gufuncs fails there.
 """
 
 from __future__ import annotations
@@ -41,7 +38,7 @@ def oja_stream(xs, v, t0, clip_norm, noise_std, noise):
 
     with observations of norm above ``clip_norm`` rescaled onto the clip
     ball and a stacked QR after every step. ``noise`` holds the (k, B, p, r)
-    standard normals N_t, or is None for no noise. Returns the updated stack.
+    standard normals N_t. Returns the updated stack.
     The caller's ``xs``, ``v`` and ``noise`` are never written. An invalid
     floating-point operation in the block, which is how a LAPACK error in the
     QR shows, raises ``LinAlgError``.
@@ -60,15 +57,12 @@ def oja_stream(xs, v, t0, clip_norm, noise_std, noise):
     if over.any():
         xs = xs.copy()
         xs[over] *= (clip_norm / nrm[over])[:, None]
-    if noise is not None:
-        noise = noise_std[:, None, None] * noise
+    noise = noise_std[:, None, None] * noise
     rows = xs[:, :, None, :]  # (k, B, 1, p): each observation as a row vector
     with _qr_errstate():
         for i in range(k):
             y = rows[i] @ v  # (B, 1, r)
-            g = xs[i, :, :, None] * y
-            if noise is not None:
-                g = g + noise[i]
+            g = xs[i, :, :, None] * y + noise[i]
             eta = 1.0 / (t0 + i + 1.0)
             v = _q_factor(v + eta * g)  # a fresh array, so the QR may overwrite it
     return v

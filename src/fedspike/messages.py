@@ -1,8 +1,9 @@
 """Message payloads and their canonical wire encoding.
 
 Each message is a UTF-8 JSON object with a ``type`` tag, a
-``schema_version``, scalars as JSON numbers, and matrices as
-``{"rows": .., "cols": .., "data": [..]}`` holding row-major doubles.
+``schema_version`` that is always ``SCHEMA_VERSION``, scalars as JSON
+numbers, and matrices as ``{"rows": .., "cols": .., "data": [..]}`` holding
+row-major doubles.
 Floats are rendered with 17 significant digits, which is enough for JSON
 parsing to reproduce every IEEE-754 double bit-exactly.
 """
@@ -65,7 +66,6 @@ class ProjectorMessage:
     n: int
     epsilon: float
     delta: float
-    schema_version: int = SCHEMA_VERSION
     warning: str | None = None
     round = 1
 
@@ -86,7 +86,6 @@ class BroadcastMessage:
     """Round-2 downlink: the aggregated frame sent back to clients."""
 
     u_hat_global: np.ndarray
-    schema_version: int = SCHEMA_VERSION
     round = 2
 
     def __post_init__(self):
@@ -100,7 +99,6 @@ class EigenvalueMessage:
 
     client_id: str
     lambda_hat: np.ndarray
-    schema_version: int = SCHEMA_VERSION
     round = 2
 
     def __post_init__(self):
@@ -138,7 +136,7 @@ def encode(msg) -> bytes:
     if isinstance(msg, ProjectorMessage):
         parts = [
             '"type":"projector"',
-            f'"schema_version":{msg.schema_version}',
+            f'"schema_version":{SCHEMA_VERSION}',
             f'"round":{msg.round}',
             f'"client_id":{json.dumps(msg.client_id)}',
             f'"n":{int(msg.n)}',
@@ -151,14 +149,14 @@ def encode(msg) -> bytes:
     elif isinstance(msg, BroadcastMessage):
         parts = [
             '"type":"broadcast"',
-            f'"schema_version":{msg.schema_version}',
+            f'"schema_version":{SCHEMA_VERSION}',
             f'"round":{msg.round}',
             f'"u_hat_global":{_fmt_matrix(msg.u_hat_global)}',
         ]
     elif isinstance(msg, EigenvalueMessage):
         parts = [
             '"type":"eigenvalues"',
-            f'"schema_version":{msg.schema_version}',
+            f'"schema_version":{SCHEMA_VERSION}',
             f'"round":{msg.round}',
             f'"client_id":{json.dumps(msg.client_id)}',
             f'"lambda_hat":{_fmt_matrix(msg.lambda_hat)}',

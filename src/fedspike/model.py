@@ -197,7 +197,7 @@ def projection_distance(u1: np.ndarray, u2: np.ndarray) -> float:
     return float(np.sqrt(max(sq, 0.0)))
 
 
-def load_dataset_csv(path, header: bool = False, client_id: str | None = None) -> Dataset:
+def load_dataset_csv(path, header: bool = False) -> Dataset:
     """Read a dataset written one observation per row; `header` skips row 1."""
     rows = np.loadtxt(path, delimiter=",", skiprows=1 if header else 0, ndmin=2)
-    return Dataset(rows.T, client_id)
+    return Dataset(rows.T)

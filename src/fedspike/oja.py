@@ -23,7 +23,6 @@ sqrt(2r(1 - r/p)) ~= 1.40.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,26 +38,6 @@ from .spectral import svd_r
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
-class OjaConfig:
-    """Rank, clipping, and the per-step noise policy.
-
-    Each client makes one pass over its samples with step size eta_t = 1/t
-    at its t-th sample and a QR after every step (``kernels.oja_stream``).
-    noise_per_step is a variance override; None calibrates from the budget.
-    """
-
-    rank_r: int
-    clip_norm: float = math.inf
-    noise_per_step: float | None = None
-
-    def __post_init__(self):
-        if self.rank_r < 1:
-            raise ValueError("rank_r must be at least 1")
-        if self.noise_per_step is not None and self.noise_per_step < 0:
-            raise ValueError("noise_per_step must be non-negative")
-
-
 def default_clip_norm(lam: float, sigma2: float, p: int) -> float:
     """Clip ball radius 3 * sqrt(lam + sigma2 * p), about three sigma of
     the observation norm under the spiked model."""
@@ -67,8 +46,8 @@ def default_clip_norm(lam: float, sigma2: float, p: int) -> float:
 
 def oja_step_noise_std(budget: PrivacyBudget, clip_norm: float, total_steps: int) -> float:
     """Per-step gradient-noise standard deviation for the whole budget."""
-    if not math.isfinite(clip_norm):
-        raise ValueError("noise calibration requires a finite clip_norm")
+    if not (math.isfinite(clip_norm) and clip_norm > 0):
+        raise ValueError(f"noise calibration requires a finite clip_norm above 0: {clip_norm!r}")
     delta_step = 2.0 * clip_norm**2
     return (
         delta_step
@@ -79,16 +58,21 @@ def oja_step_noise_std(budget: PrivacyBudget, clip_norm: float, total_steps: int
 
 def fed_dp_oja(
     datasets: Sequence[Dataset],
-    cfg: OjaConfig,
     budgets: Sequence[PrivacyBudget],
+    rank_r: int,
+    clip_norm: float,
     seed: int,
 ) -> np.ndarray:
     """Equal-weight projector average of per-client private Oja runs.
 
-    Clients with the same sample count run in lockstep as one stack (see
-    ``kernels.oja_stream``); each keeps its own initial frame and noise stream,
-    so its frame is the one a run on its own would give.
+    Each client makes one clipped pass over its samples (``kernels.oja_stream``)
+    with per-step noise calibrated to its budget (``oja_step_noise_std``).
+    Clients with the same sample count run in lockstep as one stack; each
+    keeps its own initial frame and noise stream, so its frame is the one a
+    run on its own would give.
     """
+    if rank_r < 1:
+        raise ValueError("rank_r must be at least 1")
     if len(datasets) < 1:
         raise ValueError("need at least one client dataset")
     if len(budgets) != len(datasets):
@@ -101,29 +85,27 @@ def fed_dp_oja(
         groups.setdefault(data.n_samples, []).append(j)
     frames = [None] * len(datasets)
     for members in groups.values():
-        for j, v in zip(members, _run_group(datasets, members, cfg, budgets, seed)):
+        for j, v in zip(members, _run_group(datasets, members, budgets, rank_r, clip_norm, seed)):
             frames[j] = v
     acc = np.zeros((p, p))
     for v in frames:
         acc += (v @ v.T) / len(datasets)
-    return svd_r(acc, cfg.rank_r)
+    return svd_r(acc, rank_r)
 
 
 def _run_group(
     datasets: Sequence[Dataset],
     members: list[int],
-    cfg: OjaConfig,
     budgets: Sequence[PrivacyBudget],
+    r: int,
+    clip_norm: float,
     seed: int,
 ) -> np.ndarray:
     """The final frames of the equal-length clients ``members``, run in lockstep."""
     group = [datasets[j] for j in members]
-    n, p, r = group[0].n_samples, group[0].dim_p, cfg.rank_r
-    if cfg.noise_per_step is not None:
-        noise_std = np.full(len(members), math.sqrt(cfg.noise_per_step))
-    else:
-        noise_std = np.array([oja_step_noise_std(budgets[j], cfg.clip_norm, n) for j in members])
-    rngs = [rng_from(seed, "oja-noise", j) for j in members] if noise_std.any() else None
+    n, p = group[0].n_samples, group[0].dim_p
+    noise_std = np.array([oja_step_noise_std(budgets[j], clip_norm, n) for j in members])
+    rngs = [rng_from(seed, "oja-noise", j) for j in members]
     v = np.stack([random_orthonormal(p, r, derive_seed(seed, "oja-init", j)) for j in members])
     xs = np.empty((_BLOCK, len(group), p))
     for s0 in range(0, n, _BLOCK):
@@ -131,11 +113,9 @@ def _run_group(
         block = xs[: s1 - s0]
         for b, data in enumerate(group):
             block[:, b] = data.samples[:, s0:s1].T
-        noise = None
-        if rngs is not None:
-            noise = np.stack([g.standard_normal((s1 - s0, p, r)) for g in rngs], axis=1)
+        noise = np.stack([g.standard_normal((s1 - s0, p, r)) for g in rngs], axis=1)
         try:
-            v = oja_stream(block, v, s0, cfg.clip_norm, noise_std, noise)
+            v = oja_stream(block, v, s0, clip_norm, noise_std, noise)
         except LinAlgError as exc:
             raise _stream_error(datasets, members, s0, s1 - s0, exc) from exc
         finite = np.isfinite(v).all(axis=(1, 2))

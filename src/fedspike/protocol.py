@@ -158,7 +158,8 @@ class InProcessTransport:
 
 
 class FileTransport:
-    """One file per message, named ``{round}_{client_id}.msg``."""
+    """One file per message, named ``{round}_{client_id}.msg``, in a directory
+    that holds no ``.msg`` file when the session opens."""
 
     name = "file"
 
@@ -167,6 +168,12 @@ class FileTransport:
 
     def open(self, expected_ids: list[str]) -> None:
         os.makedirs(self.session_dir, exist_ok=True)
+        stale = sorted(f for f in os.listdir(self.session_dir) if f.endswith(".msg"))
+        if stale:
+            raise SessionError(
+                f"session directory {self.session_dir} holds {stale[0]} from an earlier "
+                "session; a FileTransport needs a directory without .msg files"
+            )
         self._consumed: set[str] = set()
 
     def _path(self, round_no: int, sender: str) -> str:

@@ -41,19 +41,14 @@ def _log_privacy(delta: float) -> float:
     return math.log(2.5 / delta)
 
 
-def _psi0_bracket(c: RateInputs) -> float:
-    """psi0_tilde's sampling-plus-privacy term, free of (lam, sigma2)."""
+def psi0_tilde(c: RateInputs) -> float:
+    """Subspace estimation rate with privacy and log factors."""
+    snr = c.sigma2 / c.lam
     sampling = math.sqrt(c.r * c.p / c.n)
     privacy = (
         c.p * math.sqrt(c.r * (c.r + math.log(c.n))) / (c.n * c.epsilon)
     ) * math.sqrt(_log_privacy(c.delta))
-    return sampling + privacy
-
-
-def psi0_tilde(c: RateInputs) -> float:
-    """Subspace estimation rate with privacy and log factors."""
-    snr = c.sigma2 / c.lam
-    return (snr + math.sqrt(snr)) * _psi0_bracket(c)
+    return (snr + math.sqrt(snr)) * (sampling + privacy)
 
 
 def psi1_tilde(c: RateInputs) -> float:

@@ -1,16 +1,14 @@
 """Central-server aggregation: weights, projector averaging, assembly.
 
 Weight/message pairing is always by client_id (stable sort), never by
-arrival order. All weight schemes produce simplex vectors; the "optimal"
-scheme is inverse-square in the per-client subspace rate, and the
-"data_independent" scheme is inverse-square in that rate's bracket without
-its (lam, sigma2) prefactor. The covariance weights discount each client's
-eigenvalue noise by the very variance that ``privacy.calibrate`` sets.
+arrival order. Both weight schemes produce simplex vectors: the "optimal"
+scheme is inverse-square in the per-client subspace rate, and "equal" is
+uniform. The covariance weights discount each client's eigenvalue noise by
+the very variance that ``privacy.calibrate`` sets.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -19,14 +17,11 @@ import numpy as np
 
 from .messages import EigenvalueMessage, ProjectorMessage
 from .privacy import PrivacyBudget, calibrate
-from .rates import RateInputs, _check_consistent, _psi0_bracket, psi0_tilde
+from .rates import RateInputs, _check_consistent, psi0_tilde
 from .spectral import svd_r
 
-logger = logging.getLogger(__name__)
-
-SCHEMES = ("optimal", "data_independent", "equal")
+SCHEMES = ("optimal", "equal")
 _SIMPLEX_TOL = 1e-12
-_SYM_LOG_TOL = 1e-8
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,10 +47,6 @@ class AggregationWeights:
             raise ValueError("weight vectors must have equal length")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    @property
-    def m(self) -> int:
-        return self.pca_w.size
 
     def restrict(self, keep_ids: Sequence[str], all_ids: Sequence[str]) -> "AggregationWeights":
         """Renormalize over a surviving subset of clients (dropout mode)."""
@@ -99,8 +90,7 @@ def weights_from_rate_inputs(
     if scheme == "equal":
         w = np.full(m, 1.0 / m)
         return AggregationWeights(w, w.copy(), scheme)
-    rate = psi0_tilde if scheme == "optimal" else _psi0_bracket
-    w = _normalized(np.array([rate(c) ** -2 for c in clients]))
+    w = _normalized(np.array([psi0_tilde(c) ** -2 for c in clients]))
     v = _normalized(np.array([_cov_raw(c) for c in clients]))
     return AggregationWeights(w, v, scheme)
 
@@ -197,9 +187,9 @@ def assemble_covariance(
 ) -> np.ndarray:
     """Covariance estimate U (sum_j v_j Lambda_j) U^T + sigma2 I.
 
-    Eigenvalue blocks are defensively symmetrized; deviations beyond 1e-8
-    are logged. Negative eigenvalues are kept: the guarantee is for the
-    unclipped estimator.
+    Eigenvalue blocks are symmetrized; ``EigenvalueMessage`` already refuses
+    one whose asymmetry exceeds 1e-8. Negative eigenvalues are kept: the
+    guarantee is for the unclipped estimator.
     """
     u = np.asarray(u_hat, dtype=float)
     ordered = _sorted_by_id(eig_msgs)
@@ -212,13 +202,6 @@ def assemble_covariance(
         lam = msg.lambda_hat
         if lam.shape != (r, r):
             raise ValueError(f"client {msg.client_id}: block shape {lam.shape} != ({r}, {r})")
-        asym = np.max(np.abs(lam - lam.T))
-        if asym > _SYM_LOG_TOL:
-            logger.warning(
-                "client %s eigenvalue block asymmetric by %.3e; symmetrizing",
-                msg.client_id,
-                asym,
-            )
         lam_bar += vi * (lam + lam.T) / 2.0
     sigma = u @ lam_bar @ u.T
     sigma[np.diag_indices_from(sigma)] += sigma2

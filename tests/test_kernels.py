@@ -7,18 +7,18 @@ from numpy.linalg import LinAlgError
 
 from fedspike import (
     Dataset,
-    OjaConfig,
     PrivacyBudget,
     default_clip_norm,
     fed_dp_oja,
     kernels,
+    projection_distance,
     sample,
 )
 from fedspike.kernels import oja_stream, orthonormalise
 from fedspike.model import random_orthonormal
 from fedspike.oja import _BLOCK, oja_step_noise_std
 from fedspike.rng import derive_seed, rng_from
-from fedspike.spectral import svd_r
+from fedspike.spectral import sample_covariance, svd_r
 
 
 def _oja_stream(xs, v0, clip_norm, noise_scale, noise):
@@ -35,9 +35,7 @@ def _oja_stream(xs, v0, clip_norm, noise_scale, noise):
         if nrm > clip_norm:
             x = x * (clip_norm / nrm)
         y = x @ v
-        g = x.reshape(-1, 1) * y.reshape(1, -1)
-        if noise_scale > 0.0:
-            g = g + noise_scale * noise[t]
+        g = x.reshape(-1, 1) * y.reshape(1, -1) + noise_scale * noise[t]
         eta = 1.0 / (t + 1.0)
         q, _ = np.linalg.qr(v + eta * g)
         v = np.ascontiguousarray(q)
@@ -61,20 +59,17 @@ def _norm(x):
     return m * np.sqrt(sq)
 
 
-def _oracle_fed_dp_oja(datasets, cfg, budgets, seed):
+def _oracle_fed_dp_oja(datasets, budgets, r, clip_norm, seed):
     """fed_dp_oja as one oracle stream per client."""
-    p, r = datasets[0].dim_p, cfg.rank_r
+    p = datasets[0].dim_p
     acc = np.zeros((p, p))
     for j, (data, budget) in enumerate(zip(datasets, budgets)):
         xs = np.ascontiguousarray(data.samples.T)
         n = xs.shape[0]
-        if cfg.noise_per_step is not None:
-            std = math.sqrt(cfg.noise_per_step)
-        else:
-            std = oja_step_noise_std(budget, cfg.clip_norm, n)
+        std = oja_step_noise_std(budget, clip_norm, n)
         v0 = random_orthonormal(p, r, derive_seed(seed, "oja-init", j))
-        noise = rng_from(seed, "oja-noise", j).standard_normal((n, p, r)) if std > 0 else None
-        v = _oja_stream(xs, v0, cfg.clip_norm, std, noise)
+        noise = rng_from(seed, "oja-noise", j).standard_normal((n, p, r))
+        v = _oja_stream(xs, v0, clip_norm, std, noise)
         acc += (v @ v.T) / len(datasets)
     return svd_r(acc, r)
 
@@ -92,10 +87,9 @@ def _lockstep(xs, v0, clip_norm, stds, noise, block):
     """Drive the kernel over the stacked streams in blocks of ``block`` steps."""
     x_all = np.stack(xs, axis=1)
     v = np.stack(v0)
-    n_all = None if noise is None else np.stack(noise, axis=1)
+    n_all = np.stack(noise, axis=1)
     for t0 in range(0, x_all.shape[0], block):
-        nb = None if n_all is None else n_all[t0 : t0 + block]
-        v = oja_stream(x_all[t0 : t0 + block], v, t0, clip_norm, stds, nb)
+        v = oja_stream(x_all[t0 : t0 + block], v, t0, clip_norm, stds, n_all[t0 : t0 + block])
     return np.linalg.qr(v)[0]
 
 
@@ -119,11 +113,23 @@ class TestOjaStreamPaths:
             assert np.array_equal(got[b], want)
 
     def test_paths_match_without_noise(self):
-        xs, v0, _ = _streams(seed=3)
-        got = _lockstep(xs, v0, 4.0, np.zeros(3), None, block=300)
-        dummy = np.zeros((1, 12, 2))
+        xs, v0, noise = _streams(seed=3)
+        got = _lockstep(xs, v0, 4.0, np.zeros(3), noise, block=300)
         for b in range(len(xs)):
-            assert np.array_equal(got[b], _oja_stream(xs[b], v0[b], 4.0, 0.0, dummy))
+            assert np.array_equal(got[b], _oja_stream(xs[b], v0[b], 4.0, 0.0, noise[b]))
+
+    def test_zero_noise_converges_to_batch_direction(self):
+        model = make_model(50, 1, 10.0, 1.0, 11)
+        data = sample(model, 100_000, 5)
+        x_all = data.samples.T[:, None, :]  # one stream, time-major
+        v = random_orthonormal(50, 1, 3)[None]
+        zeros = np.zeros((_BLOCK, 1, 50, 1))
+        for t0 in range(0, data.n_samples, _BLOCK):
+            block = x_all[t0 : t0 + _BLOCK]
+            v = oja_stream(block, v, t0, np.inf, np.zeros(1), zeros[: len(block)])
+        batch = svd_r(sample_covariance(data), 1)
+        assert projection_distance(v[0], batch) <= 0.1
+        assert projection_distance(v[0], model.basis_u) <= 0.1
 
     @pytest.mark.parametrize("block", [1, 64, 100])
     def test_blocks_continue_the_stream(self, block):
@@ -139,8 +145,8 @@ class TestOjaStreamPaths:
 
     def test_clipping_bounds_update(self):
         # With a tiny clip ball the iterate barely moves from v0.
-        xs, v0, _ = _streams(seed=7)
-        v = _lockstep(xs, v0, 1e-6, np.zeros(3), None, block=300)
+        xs, v0, noise = _streams(seed=7)
+        v = _lockstep(xs, v0, 1e-6, np.zeros(3), noise, block=300)
         for frame, start in zip(v, v0):
             assert np.linalg.norm(frame @ frame.T - start @ start.T) <= 1e-4
 
@@ -155,15 +161,16 @@ class TestOjaStreamPaths:
         rng = np.random.default_rng(12)
         x = rng.standard_normal((20, 4))
         v0 = [np.linalg.qr(rng.standard_normal((4, 1)))[0]]
+        zeros = [np.zeros((20, 4, 1))]
         frames = []
         for scale in (1e10, 1e160):
             xs = x.copy()
             xs[0] *= scale
             with np.errstate(over="ignore"):
-                got = _lockstep([xs], v0, 5.0, np.zeros(1), None, block=20)[0]
-                assert np.array_equal(got, _oja_stream(xs, v0[0], 5.0, 0.0, None))
+                got = _lockstep([xs], v0, 5.0, np.zeros(1), zeros, block=20)[0]
+                assert np.array_equal(got, _oja_stream(xs, v0[0], 5.0, 0.0, zeros[0]))
             frames.append(got)
-        one_step = _lockstep([x[:1] * 1e160], v0, 5.0, np.zeros(1), None, block=1)[0]
+        one_step = _lockstep([x[:1] * 1e160], v0, 5.0, np.zeros(1), zeros, block=1)[0]
         assert np.linalg.norm(one_step @ one_step.T - v0[0] @ v0[0].T) > 0.1
         assert np.allclose(frames[0] @ frames[0].T, frames[1] @ frames[1].T, atol=1e-12)
 
@@ -225,12 +232,16 @@ class TestStreamFailures:
         return datasets
 
     def test_overflowing_client_is_named(self):
-        cfg = OjaConfig(rank_r=2, noise_per_step=0.0, clip_norm=np.inf)
-        datasets = self._clients(1e160)
+        # epsilon = 1e-310 makes c1's calibrated noise std overflow; c1 holds a
+        # sample count of its own, so it runs in a stack of its own.
+        datasets = self._clients(1.0)
+        datasets[1] = Dataset(datasets[1].samples[:, :299], "c1")
+        budgets = [PrivacyBudget(0.5, 0.1), PrivacyBudget(1e-310, 0.1), PrivacyBudget(0.5, 0.1)]
         with np.errstate(over="ignore"), pytest.raises(
-            LinAlgError, match=r"client\(s\) c1 failed in global steps 0\.\.255"
+            LinAlgError,
+            match=r"client\(s\) c1 failed in global steps 0\.\.255: its frame is not finite",
         ):
-            fed_dp_oja(datasets, cfg, [PrivacyBudget(0.5, 0.1)] * 3, seed=1)
+            fed_dp_oja(datasets, budgets, 2, default_clip_norm(4.0, 1.0, 10), seed=1)
 
     def test_floating_point_error_in_the_qr_names_the_stack(self, monkeypatch):
         calls = []
@@ -243,9 +254,9 @@ class TestStreamFailures:
 
         q_factor = kernels._q_factor
         monkeypatch.setattr(kernels, "_q_factor", failing)
-        cfg = OjaConfig(rank_r=2, noise_per_step=0.0)
+        clip = default_clip_norm(4.0, 1.0, 10)
         with pytest.raises(LinAlgError, match=r"c0, c1, c2 failed in global steps 256\.\.299") as err:
-            fed_dp_oja(self._clients(1.0), cfg, [PrivacyBudget(0.5, 0.1)] * 3, seed=1)
+            fed_dp_oja(self._clients(1.0), [PrivacyBudget(0.5, 0.1)] * 3, 2, clip, seed=1)
         assert isinstance(err.value.__cause__, LinAlgError)
 
 
@@ -266,15 +277,6 @@ class TestFedDpOjaMatchesOracle:
     def test_calibrated_noise(self, sizes, r):
         datasets = self._clients(sizes, r=r)
         budgets = [PrivacyBudget(0.3 + 0.1 * j, 0.1) for j in range(len(sizes))]
-        cfg = OjaConfig(rank_r=r, clip_norm=default_clip_norm(4.0, 1.0, 10))
-        got = fed_dp_oja(datasets, cfg, budgets, seed=11)
-        assert np.array_equal(got, _oracle_fed_dp_oja(datasets, cfg, budgets, 11))
-
-    @pytest.mark.parametrize("r", [1, 2])
-    @pytest.mark.parametrize("noise_per_step", [0.0, 0.25])
-    def test_fixed_noise_infinite_clip(self, r, noise_per_step):
-        datasets = self._clients((120, 300, 120), r=r)
-        budgets = [PrivacyBudget(0.5, 0.1)] * 3
-        cfg = OjaConfig(rank_r=r, noise_per_step=noise_per_step)
-        got = fed_dp_oja(datasets, cfg, budgets, seed=2)
-        assert np.array_equal(got, _oracle_fed_dp_oja(datasets, cfg, budgets, 2))
+        clip = default_clip_norm(4.0, 1.0, 10)
+        got = fed_dp_oja(datasets, budgets, r, clip, seed=11)
+        assert np.array_equal(got, _oracle_fed_dp_oja(datasets, budgets, r, clip, 11))

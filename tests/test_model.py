@@ -208,7 +208,7 @@ class TestDataset:
         data = sample(model, 17, 13, client_id="a")
         path = tmp_path / "obs.csv"
         save_dataset_csv(data.samples, path)
-        back = load_dataset_csv(path, client_id="a")
+        back = load_dataset_csv(path)
         assert np.array_equal(back.samples, data.samples)
 
     def test_csv_header_tolerated(self, tmp_path):

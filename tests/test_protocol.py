@@ -24,6 +24,8 @@ from fedspike import (
     TcpTransport,
     decode,
     encode,
+    local_private_projector,
+    protocol,
     run_federated_session,
     sample,
 )
@@ -296,6 +298,24 @@ class TestSession:
         run_federated_session(clients, server, FileTransport(session_dir))
         names = sorted(f.name for f in session_dir.iterdir())
         assert names == ["1_c0.msg", "1_c1.msg", "2_c0.msg", "2_c1.msg", "2_server.msg"]
+
+    def test_reused_session_directory_is_refused_before_any_client_computes(
+        self, tmp_path, monkeypatch
+    ):
+        _, clients, server = _session_pieces(m=2)
+        session_dir = tmp_path / "s3"
+        run_federated_session(clients, server, FileTransport(session_dir))
+        before = {f.name: f.read_bytes() for f in session_dir.iterdir()}
+        releases = []
+        monkeypatch.setattr(
+            protocol,
+            "local_private_projector",
+            lambda *args: releases.append(1) or local_private_projector(*args),
+        )
+        with pytest.raises(SessionError, match=r"s3.*holds 1_c0\.msg from an earlier session"):
+            run_federated_session(clients, server, FileTransport(session_dir))
+        assert not releases
+        assert {f.name: f.read_bytes() for f in session_dir.iterdir()} == before
 
     def test_tcp_transport_equivalence(self):
         _, clients, server = _session_pieces(m=2)

@@ -41,7 +41,7 @@ def _eig_msg(lam, cid):
 class TestWeights:
     def test_identical_clients_equal_weights(self):
         params = [(500, 0.5, 0.1)] * 4
-        for scheme in ("optimal", "data_independent", "equal"):
+        for scheme in SCHEMES:
             w = pca_weights(params, scheme=scheme, **SHARED)
             np.testing.assert_allclose(w.pca_w, 0.25)
             np.testing.assert_allclose(w.cov_v, 0.25)
@@ -59,14 +59,6 @@ class TestWeights:
         w = cov_weights(PAIR_PARAMS, **SHARED)
         np.testing.assert_allclose(w.cov_v, V_PAIR, rtol=1e-10)
 
-    def test_data_independent_matches_optimal_for_shared_plugins(self):
-        # The data-independent scheme drops psi0_tilde's (lam, sigma2)
-        # prefactor, which cancels in normalization when the plug-ins are
-        # common, so the two schemes coincide.
-        w_opt = pca_weights(PAIR_PARAMS, scheme="optimal", **SHARED)
-        w_di = pca_weights(PAIR_PARAMS, scheme="data_independent", **SHARED)
-        np.testing.assert_allclose(w_di.pca_w, w_opt.pca_w, rtol=1e-12)
-
     def test_cov_weights_follow_sample_sizes_without_privacy(self):
         params = [(1000, 1e9, 0.1), (3000, 1e9, 0.1)]
         w = cov_weights(params, **SHARED)
@@ -74,7 +66,7 @@ class TestWeights:
 
     def test_simplex_invariant(self):
         params = [(100, 0.2, 0.15), (5000, 0.9, 0.05), (700, 0.4, 0.3)]
-        for scheme in ("optimal", "data_independent", "equal"):
+        for scheme in SCHEMES:
             w = pca_weights(params, scheme=scheme, **SHARED)
             for vec in (w.pca_w, w.cov_v):
                 assert np.all(vec >= 0)
@@ -106,7 +98,7 @@ class TestWeights:
         np.testing.assert_allclose(sub.pca_w, [0.2 / 0.7, 0.5 / 0.7])
         np.testing.assert_allclose(sub.cov_v, [0.1 / 0.6, 0.5 / 0.6])
 
-    @pytest.mark.parametrize("scheme", ["optimal", "data_independent"])
+    @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "equal"])
     def test_a_single_observation_is_refused(self, scheme):
         # calibrate refuses n = 1 (log n = 0), so no weight may be built on it.
         clients = [RateInputs(n, 0.5, 0.1, 30, 1, 10.0, 1.0) for n in (1, 500)]
