@@ -84,9 +84,9 @@ class _Moments:
 
     def top(self, r: int) -> tuple[np.ndarray, np.ndarray]:
         if r not in self._top:
-            eig = sym_eig(self.s)
+            eig = sym_eig(self.s, r)
             self._top[r] = (
-                _read_only(eig.vectors[:, :r].copy()),
+                _read_only(eig.vectors),
                 _read_only(eig.values[r - 1 : r + 1].copy()),
             )
         return self._top[r]

@@ -127,7 +127,14 @@ def _fmt_float(x: float) -> str:
 
 def _fmt_matrix(a: np.ndarray) -> str:
     rows, cols = a.shape
-    data = ",".join(map(_fmt_float, a.ravel(order="C").tolist()))
+    flat = a.ravel(order="C")
+    if not np.isfinite(flat).all():
+        raise MessageError("cannot encode non-finite float")
+    if flat.all():
+        # For a nonzero double "%.17g" % x is format(x, ".17g"); one % renders the matrix.
+        data = ",".join(["%.17g"] * flat.size) % tuple(flat.tolist())
+    else:
+        data = ",".join(map(_fmt_float, flat.tolist()))
     return f'{{"rows":{rows},"cols":{cols},"data":[{data}]}}'
 
 

@@ -13,6 +13,7 @@ to check the analytic projector-sensitivity envelope on simulated data.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -108,6 +109,17 @@ def draw_symmetric_normals(p: int, seed: int, count: int) -> tuple[np.ndarray, n
     return rng.standard_normal((count, p * (p - 1) // 2)), rng.standard_normal((count, p))
 
 
+@functools.lru_cache(maxsize=8)
+def _symmetric_indices(p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of the strict lower triangle, and the diagonal, of a
+    p x p matrix; read-only, as every caller shares them."""
+    rows, cols = np.tril_indices(p, -1)
+    diag = np.arange(p)
+    for a in (rows, cols, diag):
+        a.flags.writeable = False
+    return rows, cols, diag
+
+
 def scale_symmetric_normals(off: np.ndarray, diag: np.ndarray, variance: float) -> np.ndarray:
     """The count x p x p noise matrices made from ``draw_symmetric_normals``.
 
@@ -116,10 +128,10 @@ def scale_symmetric_normals(off: np.ndarray, diag: np.ndarray, variance: float) 
     """
     count, p = diag.shape
     out = np.zeros((count, p, p))
-    rows, cols = np.tril_indices(p, -1)
+    rows, cols, on_diag = _symmetric_indices(p)
     out[:, rows, cols] = off * math.sqrt(variance)
     out += out.transpose(0, 2, 1)
-    out[:, np.arange(p), np.arange(p)] = diag * math.sqrt(2.0 * variance)
+    out[:, on_diag, on_diag] = diag * math.sqrt(2.0 * variance)
     return out
 
 

@@ -159,7 +159,10 @@ class InProcessTransport:
 
 class FileTransport:
     """One file per message, named ``{round}_{client_id}.msg``, in a directory
-    that holds no ``.msg`` file when the session opens."""
+    that holds no ``.msg`` file when the session opens. A message is encoded
+    before its file is opened, and written under a ``.part`` name that is
+    then renamed, so a failed send leaves no ``.msg`` file and a reader never
+    sees part of one."""
 
     name = "file"
 
@@ -179,9 +182,16 @@ class FileTransport:
     def _path(self, round_no: int, sender: str) -> str:
         return os.path.join(self.session_dir, f"{round_no}_{sender}.msg")
 
+    def _write(self, sender: str, msg) -> None:
+        # A failed encode writes nothing, and a reader sees a whole file or none.
+        payload = encode(msg)
+        path = self._path(msg.round, sender)
+        with open(path + ".part", "wb") as fh:
+            fh.write(payload)
+        os.replace(path + ".part", path)
+
     def send_from_client(self, client_id: str, msg) -> None:
-        with open(self._path(msg.round, client_id), "wb") as fh:
-            fh.write(encode(msg))
+        self._write(client_id, msg)
 
     def collect_at_server(self, expected_ids: list[str]) -> list:
         # Files persist as the session record; track what was already read.
@@ -196,8 +206,7 @@ class FileTransport:
         return out
 
     def broadcast_from_server(self, msg: BroadcastMessage, client_ids: list[str]) -> None:
-        with open(self._path(msg.round, _SERVER_ID), "wb") as fh:
-            fh.write(encode(msg))
+        self._write(_SERVER_ID, msg)
 
     def receive_at_client(self, client_id: str) -> BroadcastMessage:
         path = self._path(2, _SERVER_ID)
@@ -252,13 +261,20 @@ def _recv_frame(sock: socket.socket) -> bytearray | None:
 class TcpTransport:
     """Length-prefixed JSON frames over localhost TCP.
 
-    A background thread accepts one connection per client and a reader
-    thread per connection drains its frames into a queue; the server pushes
-    the broadcast down the same connections. Clients are matched to
-    connections by the client_id of their first frame. A frame that does not
-    decode ends its reader and fails the round at once, naming the client
-    where an earlier frame named it. ``close`` shuts every connection and
-    waits for the readers.
+    A background thread accepts one connection per client, and a reader
+    thread per connection cuts its byte stream into frames and queues them
+    undecoded; ``collect_at_server`` decodes each frame on the calling
+    thread. The server pushes the broadcast down the same connections.
+
+    A connection belongs to the client_id of its first frame. The round
+    ends at once, without waiting out ``timeout``, when:
+    - a frame does not decode: it fails, naming the round, and the client
+      once an earlier frame named it;
+    - a frame claims a client_id other than its connection's: it fails,
+      naming both ids and the round;
+    - an identified client's connection closes before its message arrives:
+      the client is missing from the round, a dropout.
+    ``close`` shuts every connection and waits for the readers.
     """
 
     name = "tcp"
@@ -271,14 +287,19 @@ class TcpTransport:
     def open(self, expected_ids: list[str]) -> None:
         self._listener = socket.create_server((self.host, self.port))
         self.port = self._listener.getsockname()[1]
+        # (connection, round, frame bytes | None at end of stream | framing error)
         self._inbox: queue.Queue = queue.Queue()
         self._client_socks: dict[str, socket.socket] = {}
-        # The lock guards the three collections below; ``_stop`` is set under
-        # it, so no reader starts after ``close`` has taken its list.
+        # Only the collecting thread touches these: connection -> its client_id,
+        # the reverse for the broadcast, and the clients whose connection closed.
+        self._conn_ids: dict[socket.socket, str] = {}
+        self._server_conns: dict[str, socket.socket] = {}
+        self._closed_ids: set[str] = set()
+        # The lock guards the two lists below; ``_stop`` is set under it, so
+        # no reader starts after ``close`` has taken its list.
         self._lock = threading.Lock()
         self._accepted: list[socket.socket] = []
         self._readers: list[threading.Thread] = []
-        self._server_conns: dict[str, socket.socket] = {}
         self._stop = threading.Event()
         self._acceptor = threading.Thread(
             target=self._accept_loop, name="fedspike-tcp-accept", daemon=True
@@ -306,28 +327,42 @@ class TcpTransport:
                 t.start()
 
     def _read_loop(self, conn: socket.socket) -> None:
-        sender = None
         round_no = 0  # a client sends one frame per round, so frame k is round k
         while not self._stop.is_set():
             round_no += 1
             try:
                 payload = _recv_frame(conn)
-                if payload is None:
-                    return
-                msg = decode(payload)
             except OSError:
+                payload = None
+            except MessageDecodeError as exc:  # the stream cannot be cut into frames
+                payload = exc
+            self._inbox.put((conn, round_no, payload))
+            if not isinstance(payload, bytearray):
                 return
-            except MessageDecodeError as exc:
-                who = f"client {sender!r}" if sender else "a client not yet identified"
-                err = SessionError(f"round {round_no}: {who} sent an undecodable frame: {exc}")
-                err.__cause__ = exc
-                self._inbox.put(err)
-                return
-            sender = getattr(msg, "client_id", None)
-            if sender is not None:
-                with self._lock:
-                    self._server_conns.setdefault(sender, conn)
-            self._inbox.put(msg)
+
+    def _decode(self, conn: socket.socket, round_no: int, payload) -> object:
+        """The message in one queued frame, checked against its connection's
+        client_id, which the first frame that carries one sets."""
+        try:
+            if isinstance(payload, MessageDecodeError):
+                raise payload
+            msg = decode(payload)
+        except MessageDecodeError as exc:
+            owner = self._conn_ids.get(conn)
+            who = f"client {owner!r}" if owner else "a client not yet identified"
+            raise SessionError(
+                f"round {round_no}: {who} sent an undecodable frame: {exc}"
+            ) from exc
+        cid = getattr(msg, "client_id", None)
+        if cid is not None:
+            owner = self._conn_ids.setdefault(conn, cid)
+            if cid != owner:
+                raise SessionError(
+                    f"round {msg.round}: a frame on the connection of client {owner!r} "
+                    f"claims client_id {cid!r}"
+                )
+            self._server_conns.setdefault(cid, conn)
+        return msg
 
     def _client_sock(self, client_id: str) -> socket.socket:
         sock = self._client_socks.get(client_id)
@@ -340,26 +375,32 @@ class TcpTransport:
         _send_frame(self._client_sock(client_id), encode(msg))
 
     def collect_at_server(self, expected_ids: list[str]) -> list:
-        out = []
+        out, heard = [], set()
         deadline = time.monotonic() + self.timeout
-        while len(out) < len(expected_ids):
+        # One message per expected client, less those whose connection closed unheard.
+        while len(out) + len(self._closed_ids.intersection(expected_ids) - heard) < len(
+            expected_ids
+        ):
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             try:
-                item = self._inbox.get(timeout=min(remaining, 0.1))
+                conn, round_no, payload = self._inbox.get(timeout=min(remaining, 0.1))
             except queue.Empty:
                 continue
-            if isinstance(item, SessionError):  # a reader's decode failure
-                raise item
-            out.append(item)
+            if payload is None:  # end of stream
+                if conn in self._conn_ids:
+                    self._closed_ids.add(self._conn_ids[conn])
+                continue
+            msg = self._decode(conn, round_no, payload)
+            heard.add(getattr(msg, "client_id", None))
+            out.append(msg)
         return out
 
     def broadcast_from_server(self, msg: BroadcastMessage, client_ids: list[str]) -> None:
         payload = encode(msg)
         for cid in client_ids:
-            with self._lock:
-                conn = self._server_conns.get(cid)
+            conn = self._server_conns.get(cid)
             if conn is None:
                 raise SessionError(f"no connection for client {cid}")
             _send_frame(conn, payload)

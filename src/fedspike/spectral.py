@@ -17,30 +17,38 @@ from .model import Dataset
 
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
-    """Full decomposition: values sorted descending, columns aligned."""
+    """Every eigenvalue, sorted descending, and the leading eigenvectors as
+    columns aligned with the first values."""
 
     values: np.ndarray
     vectors: np.ndarray
 
 
-def sym_eig(m: np.ndarray) -> EigenDecomposition:
-    """Full eigendecomposition of a symmetric matrix.
+def sym_eig(m: np.ndarray, k: int | None = None) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix: all eigenvalues and the
+    eigenvectors of the k largest (all of them when k is None).
 
     The input is symmetrized as (M + M^T)/2 before factorization; callers
-    are expected to pass matrices that are symmetric up to roundoff.
+    are expected to pass matrices that are symmetric up to roundoff. The
+    columns returned for a given k are those of the full decomposition.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError("input contains non-finite entries")
+    dim = m.shape[0]
+    if k is None:
+        k = dim
+    elif not 1 <= k <= dim:
+        raise ValueError(f"k={k} must lie between 1 and the matrix dimension {dim}")
     sym = (m + m.T) / 2.0
     vals, vecs = np.linalg.eigh(sym)
     vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1]
+    vecs = vecs[:, ::-1][:, :k]
     # Deterministic signs: largest-|entry| of each column made positive.
     lead = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[lead, np.arange(vecs.shape[1])])
+    signs = np.sign(vecs[lead, np.arange(k)])
     signs[signs == 0] = 1.0
     return EigenDecomposition(vals, np.ascontiguousarray(vecs * signs))
 
@@ -53,11 +61,7 @@ def svd_r(m: np.ndarray, r: int) -> np.ndarray:
     library aggregates, that coincides with the top-r singular subspace;
     for an indefinite input the algebraic ordering is used, not |value|.
     """
-    if r < 1:
-        raise ValueError("r must be positive")
-    if r > np.asarray(m).shape[0]:
-        raise ValueError(f"r={r} exceeds matrix dimension {np.asarray(m).shape[0]}")
-    return np.ascontiguousarray(sym_eig(m).vectors[:, :r])
+    return sym_eig(m, r).vectors
 
 
 def sample_covariance(data: Dataset) -> np.ndarray:

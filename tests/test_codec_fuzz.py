@@ -1,8 +1,9 @@
 """Property tests of the message codec.
 
 On any bytes, ``decode`` either raises ``MessageDecodeError`` or returns a
-message that ``encode`` can send again; and ``decode(encode(m))`` gives back
-``m`` bit for bit.
+message that ``encode`` can send again; ``decode(encode(m))`` gives back
+``m`` bit for bit; and ``encode`` spells every matrix entry as ``_fmt_float``
+spells that float.
 """
 
 import json
@@ -21,6 +22,7 @@ from fedspike import (
     encode,
     random_orthonormal,
 )
+from fedspike.messages import _fmt_float
 
 
 def _decodes_or_refuses(blob: bytes) -> None:
@@ -75,9 +77,9 @@ def _frames(draw):
 
 
 @st.composite
-def _symmetric(draw):
-    r = draw(st.integers(1, 5))
-    a = draw(arrays(float, (r, r), elements=_finite))
+def _symmetric(draw, elements=_finite, max_r=5):
+    r = draw(st.integers(1, max_r))
+    a = draw(arrays(float, (r, r), elements=elements))
     upper = np.arange(r)[:, None] <= np.arange(r)
     return np.where(upper, a, a.T)  # exactly symmetric, signs of zero kept
 
@@ -128,3 +130,19 @@ def test_roundtrip_is_bit_exact(msg):
     back = decode(encode(msg))
     assert type(back) is type(msg)
     assert _fields(back) == _fields(msg)
+
+
+# Every finite double class the renderer must spell as ``_fmt_float`` does.
+_entries = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e308, -1e308])
+    | st.integers(-(2**53), 2**53).map(float)
+)
+
+
+@settings(max_examples=300)
+@given(_symmetric(_entries, max_r=6))
+def test_encode_renders_each_entry_as_fmt_float(lam):
+    text = encode(EigenvalueMessage("c0", lam)).decode()
+    data = text.split('"data":[', 1)[1].split("]", 1)[0].split(",")
+    assert data == [_fmt_float(x) for x in lam.ravel().tolist()]

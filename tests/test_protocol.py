@@ -317,6 +317,21 @@ class TestSession:
         assert not releases
         assert {f.name: f.read_bytes() for f in session_dir.iterdir()} == before
 
+    def test_a_failed_send_leaves_no_message_file(self, tmp_path, monkeypatch):
+        _, clients, server = _session_pieces(m=2)
+        session_dir = tmp_path / "s4"
+
+        def refuse(msg):
+            raise MessageError("encode refused")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(protocol, "encode", refuse)
+            with pytest.raises(MessageError, match="encode refused"):
+                run_federated_session(clients, server, FileTransport(session_dir))
+        assert [f.name for f in session_dir.iterdir()] == []
+        # Nothing stale is left, so the directory takes the next session.
+        run_federated_session(clients, server, FileTransport(session_dir))
+
     def test_tcp_transport_equivalence(self):
         _, clients, server = _session_pieces(m=2)
         res_mem = run_federated_session(clients, server, InProcessTransport())
@@ -419,6 +434,36 @@ class _GarbageTcp(TcpTransport):
             super().send_from_client(client_id, msg)
 
 
+class _ClosingTcp(TcpTransport):
+    """TCP transport on which one client closes its socket instead of sending
+    its round-2 message."""
+
+    def __init__(self, client_id, **kwargs):
+        super().__init__(**kwargs)
+        self.closing = client_id
+
+    def send_from_client(self, client_id, msg):
+        if (client_id, msg.round) == (self.closing, 2):
+            self._client_sock(client_id).close()
+        else:
+            super().send_from_client(client_id, msg)
+
+
+class _ImpostorTcp(TcpTransport):
+    """TCP transport that sends one client's round-2 message over another
+    client's connection."""
+
+    def __init__(self, sender, carrier, **kwargs):
+        super().__init__(**kwargs)
+        self.sender, self.carrier = sender, carrier
+
+    def send_from_client(self, client_id, msg):
+        if (client_id, msg.round) == (self.sender, 2):
+            _send_frame(self._client_sock(self.carrier), encode(msg))
+        else:
+            super().send_from_client(client_id, msg)
+
+
 class TestTcpFailures:
     @pytest.mark.parametrize(
         "round_no, who", [(1, "a client not yet identified"), (2, "client 'c1'")]
@@ -430,6 +475,28 @@ class TestTcpFailures:
         with pytest.raises(SessionError, match=rf"round {round_no}: {who} sent an undecodable"):
             run_federated_session(clients, server, transport)
         assert time.monotonic() - t0 < 2.0
+
+    def test_a_closed_connection_fails_its_round_at_once(self):
+        _, clients, server = _session_pieces(m=3)
+        t0 = time.monotonic()
+        with pytest.raises(SessionError, match=r"did not respond in round 2: \['c1'\]"):
+            run_federated_session(clients, server, _ClosingTcp("c1", timeout=10.0))
+        assert time.monotonic() - t0 < 2.0
+
+    def test_a_closed_connection_is_a_dropout(self):
+        _, clients, server = _session_pieces(m=3)
+        t0 = time.monotonic()
+        result = run_federated_session(
+            clients, server, _ClosingTcp("c1", timeout=10.0), allow_dropout=True
+        )
+        assert time.monotonic() - t0 < 2.0
+        assert result.responders == ["c0", "c2"]
+
+    def test_a_frame_claiming_another_client_is_refused(self):
+        _, clients, server = _session_pieces(m=2)
+        transport = _ImpostorTcp("c1", "c0", timeout=10.0)
+        with pytest.raises(SessionError, match=r"round 2: .*'c0'.*'c1'"):
+            run_federated_session(clients, server, transport)
 
     @pytest.mark.parametrize("garbled", [None, ("c1", 2)])
     def test_no_thread_outlives_the_session(self, garbled):

@@ -74,6 +74,31 @@ class TestSymEig:
         with pytest.raises(ValueError):
             sym_eig(m)
 
+    @pytest.mark.parametrize(
+        "m",
+        [
+            (lambda a: (a + a.T) / 2)(np.random.default_rng(21).standard_normal((7, 7))),
+            (lambda q: q @ np.diag([3.0, 3.0, 3.0, 1.0, 1.0, 0.0, 0.0]) @ q.T)(
+                random_orthonormal(7, 7, 2)
+            ),
+            np.zeros((5, 5)),
+            np.eye(4),
+        ],
+        ids=["random", "repeated", "zero", "identity"],
+    )
+    def test_top_k_is_the_full_decomposition_sliced(self, m):
+        full = sym_eig(m)
+        for k in range(1, m.shape[0] + 1):
+            top = sym_eig(m, k)
+            assert top.values.tobytes() == full.values.tobytes()
+            assert top.vectors.shape == (m.shape[0], k)
+            assert top.vectors.tobytes() == np.ascontiguousarray(full.vectors[:, :k]).tobytes()
+
+    def test_k_out_of_range(self):
+        for k in (0, 4):
+            with pytest.raises(ValueError, match="k="):
+                sym_eig(np.eye(3), k)
+
     def test_residual_accuracy_at_p512(self):
         rng = np.random.default_rng(17)
         a = rng.standard_normal((512, 512))
