@@ -7,11 +7,14 @@ comparison). Where a sweep only changes budgets (privacy_utility) or nests
 clients (vary_clients, fixed_total), data seeds also exclude the sweep
 value, which pairs the curve across sweep points.
 
-``run_scenario`` draws each model and dataset once, keyed by those seed
-labels, and hands the same objects to every cell that names them; the
-clients compute each dataset's second moment once (``client``). Datasets
-are read-only, and the pairing check digests them when drawn and after their
-last use, so a method that alters shared data fails loudly.
+``run_scenario`` runs each replication as draw groups: one group of all
+sweep points, or one per sweep point in heterogeneous, whose seeds include
+the sweep value. A group draws its model and datasets once, and each of its
+cells takes the first m clients, or, in fixed_total, read-only views of one
+pooled draw; the clients compute each dataset's second moment once
+(``client``). Datasets are read-only and are digested when drawn and again
+after the group (a fixed_total partition after its cell), so a method that
+alters shared data fails loudly.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ import csv
 import hashlib
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from concurrent.futures import Future, ThreadPoolExecutor
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -52,12 +55,6 @@ from .svgplot import render_line_plot
 
 SCENARIOS = ("privacy_utility", "vary_clients", "fixed_total", "heterogeneous")
 METHODS = ("fedspike", "equal", "reference", "oja")
-
-CSV_HEADER = (
-    "scenario,method,sweep_value,replication,projection_error,"
-    "cov_frobenius_error,wall_ms,seed"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -104,7 +101,8 @@ class RunRecord:
     """One replication of one method at one sweep point.
 
     ``wall_ms`` times the method alone. The model and the datasets are drawn
-    once per replication, outside the timer, and shared by all its cells.
+    once per draw group (``run_scenario``), outside the timer, and shared by
+    all its cells.
     """
 
     scenario: str
@@ -123,6 +121,10 @@ class RunRecord:
             raise ValueError("cov_frobenius_error must be non-negative")
 
 
+# The CSV columns are RunRecord's fields, in order.
+CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
+
+
 @dataclass
 class ScenarioResult:
     spec: ExperimentSpec
@@ -135,16 +137,10 @@ class ScenarioResult:
 def default_spec(scenario: str, **overrides) -> ExperimentSpec:
     """Paper-configuration defaults for each scenario."""
     presets = {
-        "privacy_utility": dict(m=10, n=10000, delta=0.1, methods=("fedspike", "reference", "oja")),
-        "vary_clients": dict(n=1000, epsilon=0.5, delta=0.1, methods=("fedspike", "reference", "oja")),
-        "fixed_total": dict(epsilon=0.5, delta=0.1, methods=("fedspike", "reference", "oja")),
-        "heterogeneous": dict(m=10, methods=("fedspike", "equal", "reference")),
+        "vary_clients": dict(n=1000),
+        "heterogeneous": dict(methods=("fedspike", "equal", "reference")),
     }
-    if scenario not in presets:
-        raise ValueError(f"unknown scenario {scenario!r}; choose from {SCENARIOS}")
-    kwargs = dict(presets[scenario])
-    kwargs.update(overrides)
-    return ExperimentSpec(scenario=scenario, **kwargs)
+    return ExperimentSpec(scenario=scenario, **{**presets.get(scenario, {}), **overrides})
 
 
 def sweep_values(spec: ExperimentSpec) -> tuple:
@@ -179,99 +175,68 @@ def client_layout(spec: ExperimentSpec, sweep_value, sweep_index: int, rep: int)
     return [(sizes[j], float(eps[j]), float(deltas[j])) for j in range(spec.m)]
 
 
-def _labels(spec: ExperimentSpec, role: str, sweep_index: int, rep: int, *rest) -> tuple:
-    """The seed labels of a ``role`` draw (model, data, pool or dp) of a cell.
+def _seed(spec: ExperimentSpec, role: str, sweep_index: int, rep: int, *rest) -> int:
+    """The seed of a ``role`` draw (model, data, pool or dp) of one cell.
 
     Sample sizes depend on the sweep only in the heterogeneous scenario;
-    elsewhere the labels leave out the sweep index, so sweep points share draws.
+    elsewhere the seed leaves out the sweep index, so sweep points share draws.
     """
-    if spec.scenario == "heterogeneous":
-        return (role, sweep_index, rep, *rest)
-    return (role, rep, *rest)
+    cell = (sweep_index, rep) if spec.scenario == "heterogeneous" else (rep,)
+    return derive_seed(spec.base_seed, spec.scenario, role, *cell, *rest)
 
 
-def _drawn(spec: ExperimentSpec, held: dict, labels: tuple, draw):
-    """``draw(seed)`` for the seed of ``labels``, drawn once and then held."""
-    if labels not in held:
-        held[labels] = draw(derive_seed(spec.base_seed, spec.scenario, *labels))
-    return held[labels]
+def _draw(
+    spec: ExperimentSpec, layout: list[tuple], sweep_index: int, rep: int, pool: ThreadPoolExecutor
+) -> tuple[SpikedModel, list[Dataset], list[Future]]:
+    """The model and the datasets of one draw group, and their digests' futures.
 
-
-def _make_model(spec: ExperimentSpec, sweep_index: int, rep: int, held: dict) -> SpikedModel:
-    spikes = np.full(spec.r, spec.lam)
-    return _drawn(
-        spec,
-        held,
-        _labels(spec, "model", sweep_index, rep),
-        lambda seed: SpikedModel(random_orthonormal(spec.p, spec.r, seed), spikes, spec.sigma2),
-    )
-
-
-def _make_datasets(
-    spec: ExperimentSpec,
-    model: SpikedModel,
-    layout: list[tuple],
-    sweep_index: int,
-    rep: int,
-    held: dict,
-    pairing: _PairingCheck,
-) -> list[Dataset]:
-    """The clients' datasets of one cell; draws already in ``held`` are reused.
-
-    Every fresh draw's Philox fill (``fill_normals``) is started on the
-    pairing check's pool before any draw is finished. The draws are then
-    finished by ``sample`` in client order on this thread, and each is
-    handed to ``pairing``, which digests it while the next one is finished.
-    Only the fills run on the pool: the buffers are allocated here, and the
-    BLAS work of ``sample`` stays on this thread.
+    The datasets are those of the clients of ``layout``, the group's largest,
+    or, in fixed_total, one pooled draw of total_n observations, which has no
+    digest: ``_run_group`` digests its partitions instead. Every Philox fill
+    (``fill_normals``) is started on ``pool`` before any draw is finished.
+    The draws are then finished by ``sample`` in client order on this
+    thread, and each one's sha256 starts on ``pool`` while the next is
+    finished. Only the fills and the digests run on the pool: the buffers
+    are allocated here, and the BLAS work of ``sample`` stays on this thread.
     """
+    u = random_orthonormal(spec.p, spec.r, _seed(spec, "model", sweep_index, rep))
+    model = SpikedModel(u, np.full(spec.r, spec.lam), spec.sigma2)
     if spec.scenario == "fixed_total":
-        # One pooled draw per replication, partitioned among the clients, so
-        # sweeps over m compare partitions of identical data.
-        labels = _labels(spec, "pool", sweep_index, rep)
-        pool = _drawn(spec, held, labels, lambda seed: sample(model, spec.total_n, seed)).samples
-        out, start = [], 0
-        for j, (n_j, _, _) in enumerate(layout):
-            out.append(Dataset(pool[:, start : start + n_j], f"c{j:03d}"))
-            start += n_j
-        return out
-    cell = [_labels(spec, "data", sweep_index, rep, j) for j in range(len(layout))]
-    fresh = []
-    for j, labels in enumerate(cell):
-        if labels in held:
-            continue
-        n_j = layout[j][0]
-        seed = derive_seed(spec.base_seed, spec.scenario, *labels)
-        normals = (np.empty((spec.r, n_j)), np.empty((spec.p, n_j)))
-        filled = pairing.pool.submit(fill_normals, seed, *normals)
-        fresh.append((j, labels, seed, normals, filled))
-    fresh.reverse()
-    while fresh:  # popped, so each draw's buffers are freed once it is a Dataset
-        j, labels, seed, normals, filled = fresh.pop()
+        draws = [(_seed(spec, "pool", sweep_index, rep), spec.total_n, None)]
+    else:
+        draws = [
+            (_seed(spec, "data", sweep_index, rep, j), n_j, f"c{j:03d}")
+            for j, (n_j, _, _) in enumerate(layout)
+        ]
+    fills = []
+    for seed, n, client_id in draws:
+        normals = (np.empty((spec.r, n)), np.empty((spec.p, n)))
+        fills.append((seed, n, client_id, normals, pool.submit(fill_normals, seed, *normals)))
+    fills.reverse()
+    datasets, digests = [], []
+    while fills:  # popped, so each draw's buffers are freed once it is a Dataset
+        seed, n, client_id, normals, filled = fills.pop()
         filled.result()
-        d = sample(model, layout[j][0], seed, f"c{j:03d}", normals)
-        pairing.drawn(d)
-        held[labels] = d
-    return [held[labels] for labels in cell]
+        datasets.append(sample(model, n, seed, client_id, normals))
+        if spec.scenario != "fixed_total":  # the pool is digested per partition
+            digests.append(pool.submit(_sha256, datasets[-1]))
+    return model, datasets, digests
 
 
 def _client_configs(
     spec: ExperimentSpec, layout: list[tuple], sweep_index: int, rep: int
 ) -> list[ClientConfig]:
-    cfgs = []
-    for j, (_, eps, delta) in enumerate(layout):
-        labels = _labels(spec, "dp", sweep_index, rep, j)
-        cfgs.append(
-            ClientConfig(
-                client_id=f"c{j:03d}",
-                budget=PrivacyBudget(eps, delta),
-                rank_r=spec.r,
-                lambda_plugin=spec.lam,
-                sigma2_plugin=spec.sigma2,
-                seed=derive_seed(spec.base_seed, spec.scenario, *labels),
-            )
+    return [
+        ClientConfig(
+            client_id=f"c{j:03d}",
+            budget=PrivacyBudget(eps, delta),
+            rank_r=spec.r,
+            lambda_plugin=spec.lam,
+            sigma2_plugin=spec.sigma2,
+            seed=_seed(spec, "dp", sweep_index, rep, j),
         )
-    return cfgs
+        for j, (_, eps, delta) in enumerate(layout)
+    ]
 
 
 def _sha256(d: Dataset) -> str:
@@ -286,52 +251,17 @@ def _digest(datasets: list[Dataset], pool: ThreadPoolExecutor) -> tuple[str, ...
     return tuple(pool.map(_sha256, datasets))
 
 
-class _PairingCheck:
-    """Guards the data that the methods share against writes.
-
-    Each dataset is digested when it is first handed to the methods and again
-    when the run lets go of it; the two digests must agree. The hashing runs
-    on ``pool``, the run's helper pool, which ``_make_datasets`` also uses
-    for its Philox fills: a freshly drawn dataset is hashed while the next
-    one is drawn, and ``hand_out`` waits for every digest of its cell before
-    the methods see the data. ``close`` stops the pool.
-    """
-
-    def __init__(self, pool: ThreadPoolExecutor):
-        self.pool = pool
-        self._live: dict = {}  # id(dataset) -> (dataset, future of its hand-out digest)
-
-    def drawn(self, d: Dataset) -> None:
-        """Start the hand-out digest of a dataset that was just drawn."""
-        self._live[id(d)] = (d, self.pool.submit(_sha256, d))
-
-    def hand_out(self, datasets: list[Dataset]) -> tuple[str, ...]:
-        """The digests of a cell's datasets, once every one of them is taken.
-
-        Datasets that ``_make_datasets`` did not draw, such as fixed_total's
-        partitions, are digested here.
-        """
-        for d in datasets:
-            if id(d) not in self._live:
-                self.drawn(d)
-        return tuple(self._live[id(d)][1].result() for d in datasets)
-
-    def release(self, held: dict, where: str) -> None:
-        """Check the datasets that ``held`` no longer holds, then forget them."""
-        kept = {id(v) for v in held.values()}
-        gone = [d for key, (d, _) in self._live.items() if key not in kept]
-        if not gone:
-            return
-        for d, after in zip(gone, _digest(gone, self.pool)):
-            if self._live.pop(id(d))[1].result() != after:
-                raise RuntimeError(
-                    f"paired-seed violation in {where}: the data of client "
-                    f"{d.client_id} changed after it was drawn; a method wrote "
-                    "into data that other methods share"
-                )
-
-    def close(self) -> None:
-        self.pool.shutdown(cancel_futures=True)
+def _check_unchanged(
+    datasets: list[Dataset], before: tuple, pool: ThreadPoolExecutor, where: str
+) -> None:
+    """Digest ``datasets`` again; a digest that moved means a method wrote shared data."""
+    for d, was, now in zip(datasets, before, _digest(datasets, pool)):
+        if was != now:
+            raise RuntimeError(
+                f"paired-seed violation in {where}: the data of client "
+                f"{d.client_id} changed after it was drawn; a method wrote "
+                "into data that other methods share"
+            )
 
 
 def _run_method(
@@ -373,6 +303,67 @@ def _run_method(
     return session.u_hat, session.sigma_hat
 
 
+def _run_group(
+    spec: ExperimentSpec,
+    group: list[int],
+    rep: int,
+    pool: ThreadPoolExecutor,
+    cells: list,
+    digests: dict,
+) -> None:
+    """Draw one group's data, run its cells, and check that no method changed it.
+
+    Each cell's records go to ``cells[sweep_index][rep]`` and its clients'
+    digests to ``digests[(sweep_index, rep)]``. The data are freed on return.
+    """
+    values = sweep_values(spec)
+    layouts = {i: client_layout(spec, values[i], i, rep) for i in group}
+    largest = max(group, key=lambda i: len(layouts[i]))
+    model, drawn, handed = _draw(spec, layouts[largest], largest, rep, pool)
+    truth = covariance_matrix(model)
+    for sweep_index in group:
+        sv, layout = values[sweep_index], layouts[sweep_index]
+        if spec.scenario == "fixed_total":  # read-only views of the pool's columns
+            n_j = layout[0][0]
+            columns = [drawn[0].samples[:, j * n_j : (j + 1) * n_j] for j in range(len(layout))]
+            datasets = [Dataset._adopt(x, f"c{j:03d}") for j, x in enumerate(columns)]
+            before = _digest(datasets, pool)
+        else:
+            datasets = drawn[: len(layout)]
+            before = tuple(f.result() for f in handed[: len(layout)])
+        digests[(sweep_index, rep)] = before
+        cfgs = _client_configs(spec, layout, sweep_index, rep)
+        rep_seed = derive_seed(spec.base_seed, spec.scenario, "rep", sweep_index, rep)
+        for method in spec.methods:
+            t0 = time.perf_counter()
+            u_hat, sigma_hat = _run_method(method, spec, datasets, layout, cfgs, sweep_index, rep)
+            wall_ms = (time.perf_counter() - t0) * 1000.0
+            cov_err = None
+            if sigma_hat is not None:
+                cov_err = float(np.linalg.norm(sigma_hat - truth, "fro"))
+            cells[sweep_index][rep].append(
+                RunRecord(
+                    scenario=spec.scenario,
+                    method=method,
+                    sweep_value=float(sv),
+                    replication=rep,
+                    projection_error=projection_distance(u_hat, model.basis_u),
+                    cov_frobenius_error=cov_err,
+                    wall_ms=wall_ms,
+                    seed=rep_seed,
+                )
+            )
+        if spec.scenario == "fixed_total":
+            # Each cell's partitions cover the pool. They are checked right
+            # after the cell, so a write is pinned on the partition it hit.
+            _check_unchanged(datasets, before, pool, f"replication {rep} at sweep {sv}")
+    if spec.scenario != "fixed_total":
+        where = f"replication {rep}"
+        if len(group) == 1:
+            where += f" at sweep {values[group[0]]}"
+        _check_unchanged(drawn, tuple(f.result() for f in handed), pool, where)
+
+
 def run_scenario(
     spec: ExperimentSpec,
     out_dir=None,
@@ -381,24 +372,17 @@ def run_scenario(
 ) -> ScenarioResult:
     """Run every (method, sweep point, replication) cell of a scenario.
 
-    Replications run one after another. Each draws its model and datasets
-    once, keyed by their seed labels, and every cell whose seeds agree reuses
-    that draw: all methods, all sweep points where the seeds leave out the
-    sweep value (every scenario but heterogeneous), the first m clients of
-    vary_clients, and fixed_total's pool. At most one replication's data is
-    held (one cell's in heterogeneous). Records come out in (sweep point,
-    replication, method) order.
-
-    Each dataset is digested (sha256) when it is drawn and again after the
-    last cell that uses it; a mismatch (a method wrote into shared data)
-    raises ``RuntimeError`` naming the replication and the client. The
-    digests are taken on a pool of one helper thread per core, which also
-    fills each cell's Philox streams concurrently (every scenario but
-    fixed_total, whose pool is one draw); the rest of each draw runs on the
-    calling thread, and the data are bit-identical to one-by-one ``sample``
-    draws. The pool is stopped before this returns. ``data_digests`` maps
-    each (sweep index, replication) cell to the digests of its clients'
-    datasets. ``verify_pairing`` must be True: the check is not optional.
+    Replications run one after another, each as draw groups (module
+    docstring); at most one group's data is held. Records come out in
+    (sweep point, replication, method) order, and ``data_digests`` maps each
+    (sweep index, replication) cell to the sha256 digests of its clients'
+    datasets. The Philox fills and the digests run on a pool of one helper
+    thread per core, stopped before this returns; the data are bit-identical
+    to one-by-one ``sample`` draws. Each cell waits for its clients' digests
+    before any method runs. If a digest taken again after the group (a
+    fixed_total partition: after its cell) differs, a method wrote into
+    shared data, and ``RuntimeError`` names the replication and the client.
+    ``verify_pairing`` must be True: the check is not optional.
     """
     if not verify_pairing:
         raise ValueError("verify_pairing: the pairing check is always on; pass True or omit it")
@@ -410,52 +394,18 @@ def run_scenario(
                 f"infeasible layout at sweep {sv}: a client would hold fewer "
                 f"than r={spec.r} observations"
             )
+    indices = list(range(len(values)))
+    groups = [[i] for i in indices] if spec.scenario == "heterogeneous" else [indices]
 
     cells = [[[] for _ in range(spec.replications)] for _ in values]
     digests: dict = {}
     pool = ThreadPoolExecutor(os.cpu_count(), thread_name_prefix="fedspike-digest")
-    pairing = _PairingCheck(pool)
     try:
         for rep in range(spec.replications):
-            held: dict = {}  # this replication's draws, keyed by seed labels
-            for sweep_index, sv in enumerate(values):
-                rep_seed = derive_seed(spec.base_seed, spec.scenario, "rep", sweep_index, rep)
-                layout = client_layout(spec, sv, sweep_index, rep)
-                model = _make_model(spec, sweep_index, rep, held)
-                datasets = _make_datasets(spec, model, layout, sweep_index, rep, held, pairing)
-                cfgs = _client_configs(spec, layout, sweep_index, rep)
-                digests[(sweep_index, rep)] = pairing.hand_out(datasets)
-                truth = covariance_matrix(model)
-                for method in spec.methods:
-                    t0 = time.perf_counter()
-                    u_hat, sigma_hat = _run_method(
-                        method, spec, datasets, layout, cfgs, sweep_index, rep
-                    )
-                    wall_ms = (time.perf_counter() - t0) * 1000.0
-                    cov_err = None
-                    if sigma_hat is not None:
-                        cov_err = float(np.linalg.norm(sigma_hat - truth, "fro"))
-                    cells[sweep_index][rep].append(
-                        RunRecord(
-                            scenario=spec.scenario,
-                            method=method,
-                            sweep_value=float(sv),
-                            replication=rep,
-                            projection_error=projection_distance(u_hat, model.basis_u),
-                            cov_frobenius_error=cov_err,
-                            wall_ms=wall_ms,
-                            seed=rep_seed,
-                        )
-                    )
-                if _labels(spec, "data", sweep_index + 1, rep) != _labels(
-                    spec, "data", sweep_index, rep
-                ):
-                    held.clear()  # the next sweep point draws its own data
-                pairing.release(held, f"replication {rep} at sweep {sv}")
-            held.clear()
-            pairing.release(held, f"replication {rep}")
+            for group in groups:
+                _run_group(spec, group, rep, pool, cells, digests)
     finally:
-        pairing.close()
+        pool.shutdown(cancel_futures=True)
 
     records = [rec for row in cells for cell in row for rec in cell]
     result = ScenarioResult(spec=spec, records=records, data_digests=digests)
@@ -469,8 +419,20 @@ def run_scenario(
     return result
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _csv_cell(value):
+    """A record field as written: floats to 17 significant digits, None empty."""
+    if value is None:
+        return ""
+    return format(value, ".17g") if isinstance(value, float) else value
+
+
+# How read_records_csv parses each RunRecord field type.
+_PARSE = {
+    "str": str,
+    "int": int,
+    "float": float,
+    "float | None": lambda text: None if text == "" else float(text),
+}
 
 
 def write_records_csv(records: list, path) -> None:
@@ -479,44 +441,18 @@ def write_records_csv(records: list, path) -> None:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER.split(","))
         for rec in records:
-            writer.writerow(
-                [
-                    rec.scenario,
-                    rec.method,
-                    _fmt(rec.sweep_value),
-                    rec.replication,
-                    _fmt(rec.projection_error),
-                    "" if rec.cov_frobenius_error is None else _fmt(rec.cov_frobenius_error),
-                    _fmt(rec.wall_ms),
-                    rec.seed,
-                ]
-            )
+            writer.writerow([_csv_cell(getattr(rec, f.name)) for f in fields(RunRecord)])
 
 
 def read_records_csv(path) -> list[RunRecord]:
-    out = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != CSV_HEADER.split(","):
             raise ValueError(f"unexpected CSV header in {path}")
-        for row in reader:
-            out.append(
-                RunRecord(
-                    scenario=row["scenario"],
-                    method=row["method"],
-                    sweep_value=float(row["sweep_value"]),
-                    replication=int(row["replication"]),
-                    projection_error=float(row["projection_error"]),
-                    cov_frobenius_error=(
-                        None
-                        if row["cov_frobenius_error"] == ""
-                        else float(row["cov_frobenius_error"])
-                    ),
-                    wall_ms=float(row["wall_ms"]),
-                    seed=int(row["seed"]),
-                )
-            )
-    return out
+        return [
+            RunRecord(**{f.name: _PARSE[f.type](row[f.name]) for f in fields(RunRecord)})
+            for row in reader
+        ]
 
 
 def mean_errors(records: list) -> dict:

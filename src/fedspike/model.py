@@ -82,7 +82,9 @@ class Dataset:
         """A dataset that takes the float64 buffer ``x`` itself, not a copy.
 
         For ``sample``, which has just filled ``x`` and holds no other
-        reference to it; ``x`` becomes read-only.
+        reference to it, and for views of another dataset's read-only
+        samples (``run_scenario``'s fixed_total partitions); ``x`` becomes
+        read-only.
         """
         data = object.__new__(cls)
         object.__setattr__(data, "client_id", client_id)

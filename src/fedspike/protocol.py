@@ -273,7 +273,10 @@ class TcpTransport:
     - a frame claims a client_id other than its connection's: it fails,
       naming both ids and the round;
     - an identified client's connection closes before its message arrives:
-      the client is missing from the round, a dropout.
+      the client is missing from the round, a dropout;
+    - a connection closes before its first frame while an expected client
+      is still unidentified (round 1): it counts as one silent client, so
+      the round does not wait for a message that cannot come.
     ``close`` shuts every connection and waits for the readers.
     """
 
@@ -375,10 +378,11 @@ class TcpTransport:
         _send_frame(self._client_sock(client_id), encode(msg))
 
     def collect_at_server(self, expected_ids: list[str]) -> list:
-        out, heard = [], set()
+        out, heard, silent = [], set(), 0
         deadline = time.monotonic() + self.timeout
-        # One message per expected client, less those whose connection closed unheard.
-        while len(out) + len(self._closed_ids.intersection(expected_ids) - heard) < len(
+        # One message per expected client, less those whose connection closed
+        # unheard, less the silent clients.
+        while len(out) + len(self._closed_ids.intersection(expected_ids) - heard) + silent < len(
             expected_ids
         ):
             remaining = deadline - time.monotonic()
@@ -391,6 +395,8 @@ class TcpTransport:
             if payload is None:  # end of stream
                 if conn in self._conn_ids:
                     self._closed_ids.add(self._conn_ids[conn])
+                elif not self._server_conns.keys() >= set(expected_ids):
+                    silent += 1
                 continue
             msg = self._decode(conn, round_no, payload)
             heard.add(getattr(msg, "client_id", None))

@@ -60,6 +60,17 @@ class TestSpec:
         assert (s4.eps_range, s4.delta_range) == ((0.1, 0.3), (0.1, 0.2))
         assert (s4.small_mult, s4.large_mult) == (2, 20)
 
+    def test_presets_equal_the_paper_configs_spelled_out(self):
+        spelled = {
+            "privacy_utility": dict(m=10, n=10000, delta=0.1, methods=("fedspike", "reference", "oja")),
+            "vary_clients": dict(n=1000, epsilon=0.5, delta=0.1, methods=("fedspike", "reference", "oja")),
+            "fixed_total": dict(epsilon=0.5, delta=0.1, methods=("fedspike", "reference", "oja")),
+            "heterogeneous": dict(m=10, methods=("fedspike", "equal", "reference")),
+        }
+        for scenario, kwargs in spelled.items():
+            assert default_spec(scenario) == ExperimentSpec(scenario=scenario, **kwargs)
+            assert default_spec(scenario, m=4) == ExperimentSpec(scenario=scenario, **{**kwargs, "m": 4})
+
     def test_sweep_values(self):
         assert sweep_values(default_spec("fixed_total")) == (10, 20, 25, 50)
 
@@ -113,6 +124,25 @@ class TestRunScenario:
                 b.replication,
                 b.seed,
             )
+
+    def test_csv_columns_are_the_record_fields(self, tmp_path):
+        from dataclasses import fields
+
+        from fedspike.experiments import RunRecord, write_records_csv
+
+        assert CSV_HEADER.split(",") == [f.name for f in fields(RunRecord)]
+        recs = [
+            RunRecord("fixed_total", "oja", 2.0, 1, 0.1, None, 1.5, 2**64 - 1),
+            RunRecord("heterogeneous", "equal", 30.0, 0, 0.0, 5e-324, 1e300, 7),
+        ]
+        path = tmp_path / "records.csv"
+        write_records_csv(recs, path)
+        assert path.read_bytes() == (
+            CSV_HEADER + "\r\n"
+            "fixed_total,oja,2,1,0.10000000000000001,,1.5,18446744073709551615\r\n"
+            "heterogeneous,equal,30,0,0,4.9406564584124654e-324,1.0000000000000001e+300,7\r\n"
+        ).encode()
+        assert read_records_csv(path) == recs
 
     def test_deterministic_modulo_wall_time(self):
         spec = _tiny_spec()
@@ -287,10 +317,12 @@ def test_golden_records(scenario):
             assert g[4] == pytest.approx(w[4], rel=1e-9, abs=1e-12), g[:3]
 
 
-@pytest.mark.parametrize("scenario", ["privacy_utility", "vary_clients"])
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_SPECS))
 def test_digests_regenerate_from_the_seeds(scenario):
     """Each cell's data_digests entry is the digest of the datasets that the
-    documented seed labels produce, drawn afresh."""
+    documented seed labels produce, drawn afresh: ("data", rep, j), with the
+    sweep index before rep in heterogeneous, and in fixed_total consecutive
+    column slices of the ("pool", rep) draw."""
     from concurrent.futures import ThreadPoolExecutor
 
     from fedspike import SpikedModel, random_orthonormal
@@ -302,16 +334,54 @@ def test_digests_regenerate_from_the_seeds(scenario):
     values = sweep_values(spec)
     assert len(result.data_digests) == len(values) * spec.replications
     for (sweep_index, rep), entry in result.data_digests.items():
-        m = spec.m if scenario == "privacy_utility" else int(values[sweep_index])
-        seed = derive_seed(spec.base_seed, scenario, "model", rep)
+        cell = (sweep_index, rep) if scenario == "heterogeneous" else (rep,)
+        seed = derive_seed(spec.base_seed, scenario, "model", *cell)
         u = random_orthonormal(spec.p, spec.r, seed)
         model = SpikedModel(u, np.full(spec.r, spec.lam), spec.sigma2)
-        datasets = [
-            sample(model, spec.n, derive_seed(spec.base_seed, scenario, "data", rep, j), f"c{j:03d}")
-            for j in range(m)
-        ]
+        layout = client_layout(spec, values[sweep_index], sweep_index, rep)
+        if scenario == "fixed_total":
+            pooled = sample(model, spec.total_n, derive_seed(spec.base_seed, scenario, "pool", rep))
+            n_j = layout[0][0]
+            datasets = [
+                Dataset(pooled.samples[:, j * n_j : (j + 1) * n_j]) for j in range(len(layout))
+            ]
+        else:
+            datasets = [
+                sample(model, n_j, derive_seed(spec.base_seed, scenario, "data", *cell, j))
+                for j, (n_j, _, _) in enumerate(layout)
+            ]
         with ThreadPoolExecutor(1) as pool:
             assert entry == _digest(datasets, pool)
+
+
+def test_fixed_total_partitions_are_read_only_views_of_the_pool(monkeypatch):
+    from fedspike import experiments
+
+    pools, cells = [], []
+    original_sample, original_run = experiments.sample, experiments._run_method
+
+    def drawing(*args, **kwargs):
+        pools.append(original_sample(*args, **kwargs))
+        return pools[-1]
+
+    def running(method, spec, datasets, *args):
+        cells.append(datasets)
+        return original_run(method, spec, datasets, *args)
+
+    monkeypatch.setattr(experiments, "sample", drawing)
+    monkeypatch.setattr(experiments, "_run_method", running)
+    spec = default_spec("fixed_total", **{**GOLDEN_SPECS["fixed_total"], "replications": 1})
+    run_scenario(spec)
+    (pool,) = pools
+    assert [len(datasets) for datasets in cells] == [2] * 4 + [3] * 4 + [4] * 4
+    for datasets in cells:
+        assert [d.client_id for d in datasets] == [f"c{j:03d}" for j in range(len(datasets))]
+        assert np.array_equal(np.hstack([d.samples for d in datasets]), pool.samples)
+        for d in datasets:
+            assert np.shares_memory(d.samples, pool.samples)
+            assert not d.samples.flags.writeable
+            with pytest.raises(ValueError):
+                d.samples.flags.writeable = True
 
 
 @pytest.mark.parametrize(
@@ -347,6 +417,10 @@ def test_pairing_check_names_replication_and_client(scenario, monkeypatch):
         out = original(method, spec, datasets, *args)
         if method == "equal":
             x = datasets[1].samples
+            if x.base is not None:
+                # A fixed_total partition: numpy lets a view be made writeable
+                # only once the pool it views is.
+                x.base.flags.writeable = True
             x.flags.writeable = True
             x[0, 0] += 1.0
         return out
@@ -388,30 +462,40 @@ def test_pairing_check_sees_a_write_in_the_first_method(monkeypatch):
 
 
 @pytest.mark.parametrize("r", [1, 3])
-@pytest.mark.parametrize("scenario", ["privacy_utility", "vary_clients", "heterogeneous"])
+@pytest.mark.parametrize("scenario", sorted(GOLDEN_SPECS))
 def test_pooled_draws_equal_inline_draws(scenario, r):
-    """Fills on the helper pool give the datasets that ``sample`` draws inline."""
+    """``_draw``'s fills on the helper pool give the model and datasets that
+    ``sample`` draws inline, and its digest futures their digests."""
     from concurrent.futures import ThreadPoolExecutor
 
-    from fedspike import experiments
+    from fedspike import experiments, random_orthonormal
     from fedspike.rng import derive_seed
 
     spec = default_spec(scenario, **{**GOLDEN_SPECS[scenario], "r": r})
     sweep_index = len(sweep_values(spec)) - 1
-    layout = client_layout(spec, sweep_values(spec)[sweep_index], sweep_index, 0)
+    layout = client_layout(spec, sweep_values(spec)[sweep_index], sweep_index, 1)
     layout = [(13 + 29 * j, eps, delta) for j, (_, eps, delta) in enumerate(layout)]
-    model = experiments._make_model(spec, sweep_index, 0, {})
     with ThreadPoolExecutor(2, thread_name_prefix="fedspike-digest") as pool:
-        pairing = experiments._PairingCheck(pool)
-        pooled = experiments._make_datasets(spec, model, layout, sweep_index, 0, {}, pairing)
-        pairing.hand_out(pooled)
-    assert len(pooled) == len(layout)
-    for j, got in enumerate(pooled):
-        labels = ("data", sweep_index, 0, j) if scenario == "heterogeneous" else ("data", 0, j)
-        seed = derive_seed(spec.base_seed, scenario, *labels)
-        want = sample(model, layout[j][0], seed, f"c{j:03d}")
-        assert got.client_id == want.client_id
-        assert np.array_equal(got.samples, want.samples)
+        model, pooled, handed = experiments._draw(spec, layout, sweep_index, 1, pool)
+        digests = [f.result() for f in handed]
+
+    cell = (sweep_index, 1) if scenario == "heterogeneous" else (1,)
+    u = random_orthonormal(spec.p, r, derive_seed(spec.base_seed, scenario, "model", *cell))
+    assert np.array_equal(model.basis_u, u)
+    if scenario == "fixed_total":
+        seed = derive_seed(spec.base_seed, scenario, "pool", *cell)
+        want = [sample(model, spec.total_n, seed)]
+        assert digests == []  # the pool is digested per partition, in each cell
+    else:
+        want = [
+            sample(model, n_j, derive_seed(spec.base_seed, scenario, "data", *cell, j), f"c{j:03d}")
+            for j, (n_j, _, _) in enumerate(layout)
+        ]
+        assert digests == [experiments._sha256(w) for w in want]
+    assert len(pooled) == len(want)
+    for got, w in zip(pooled, want):
+        assert got.client_id == w.client_id
+        assert np.array_equal(got.samples, w.samples)
 
 
 def test_a_failing_fill_fails_the_run(monkeypatch):

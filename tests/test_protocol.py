@@ -436,14 +436,15 @@ class _GarbageTcp(TcpTransport):
 
 class _ClosingTcp(TcpTransport):
     """TCP transport on which one client closes its socket instead of sending
-    its round-2 message."""
+    its message of one round; in round 1 the socket closes before its first
+    frame, so the server cannot tell which client it was."""
 
-    def __init__(self, client_id, **kwargs):
+    def __init__(self, client_id, round_no=2, **kwargs):
         super().__init__(**kwargs)
-        self.closing = client_id
+        self.closing = (client_id, round_no)
 
     def send_from_client(self, client_id, msg):
-        if (client_id, msg.round) == (self.closing, 2):
+        if (client_id, msg.round) == self.closing:
             self._client_sock(client_id).close()
         else:
             super().send_from_client(client_id, msg)
@@ -491,6 +492,26 @@ class TestTcpFailures:
         )
         assert time.monotonic() - t0 < 2.0
         assert result.responders == ["c0", "c2"]
+
+    def test_a_connection_closed_before_its_first_frame_fails_round_1_at_once(self):
+        _, clients, server = _session_pieces(m=3)
+        t0 = time.monotonic()
+        with pytest.raises(SessionError, match=r"did not respond in round 1: \['c1'\]"):
+            run_federated_session(clients, server, _ClosingTcp("c1", 1, timeout=10.0))
+        assert time.monotonic() - t0 < 2.0
+
+    def test_a_connection_closed_before_its_first_frame_is_a_dropout(self):
+        # Round 2 still collects both responders: the silent close of round 1
+        # does not count against it.
+        _, clients, server = _session_pieces(m=3)
+        t0 = time.monotonic()
+        result = run_federated_session(
+            clients, server, _ClosingTcp("c1", 1, timeout=10.0), allow_dropout=True
+        )
+        assert time.monotonic() - t0 < 2.0
+        assert result.responders == ["c0", "c2"]
+        round_2 = [m.client_id for m in result.transcript if isinstance(m, EigenvalueMessage)]
+        assert round_2 == ["c0", "c2"]
 
     def test_a_frame_claiming_another_client_is_refused(self):
         _, clients, server = _session_pieces(m=2)
