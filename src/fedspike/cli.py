@@ -57,7 +57,6 @@ def _add_realdata(sub):
     p.add_argument("--methods", type=_parse_methods, default=("fedspike", "equal", "oja"))
     p.add_argument("--header", action="store_true", help="skip a header row on read")
     p.add_argument("--no-sigma-subtract", action="store_true")
-    p.add_argument("--allow-dropout", action="store_true")
     p.add_argument("--out", default=None, help="optional CSV report path")
 
 
@@ -127,7 +126,6 @@ def _cmd_realdata(args) -> int:
         tail_range=args.tail,
         subtract_sigma=not args.no_sigma_subtract,
         methods=args.methods,
-        allow_dropout=args.allow_dropout,
         header=args.header,
     )
     report = run_realdata(args.input, spec)

@@ -240,7 +240,12 @@ def _client_configs(
 
 
 def _sha256(d: Dataset) -> str:
-    return hashlib.sha256(np.ascontiguousarray(d.samples)).hexdigest()
+    # Row by row: the digest of the C-order bytes, without copying a column
+    # slice of the fixed_total pool.
+    h = hashlib.sha256()
+    for row in d.samples:
+        h.update(row)
+    return h.hexdigest()
 
 
 def _digest(datasets: list[Dataset], pool: ThreadPoolExecutor) -> tuple[str, ...]:
@@ -531,7 +536,6 @@ class RealdataSpec:
     tail_range: tuple | None = None
     subtract_sigma: bool = True
     methods: tuple = ("fedspike", "equal", "oja")
-    allow_dropout: bool = False
     header: bool = False
 
     def __post_init__(self):
@@ -601,9 +605,7 @@ def run_realdata(matrix_csv, spec: RealdataSpec) -> list[dict]:
     for method in spec.methods:
         if method in weights:
             server = ServerHandle(rank_r=r, sigma2=sigma2_server, weights=weights[method])
-            u_hat = run_federated_session(
-                handles, server, InProcessTransport(), allow_dropout=spec.allow_dropout
-            ).u_hat
+            u_hat = run_federated_session(handles, server, InProcessTransport()).u_hat
         else:
             lam_bar = float(np.mean([c.lambda_plugin for c in cfgs]))
             sig_bar = float(np.mean([c.sigma2_plugin for c in cfgs]))

@@ -13,8 +13,10 @@ frame). A seeded session produces bit-identical results on all three.
 
 from __future__ import annotations
 
+import itertools
 import os
 import queue
+import select
 import socket
 import struct
 import threading
@@ -134,7 +136,7 @@ class InProcessTransport:
 
     name = "inproc"
 
-    def open(self, expected_ids: list[str]) -> None:
+    def open(self) -> None:
         self._uplink: list = []
         self._broadcast = None
 
@@ -169,7 +171,7 @@ class FileTransport:
     def __init__(self, session_dir):
         self.session_dir = str(session_dir)
 
-    def open(self, expected_ids: list[str]) -> None:
+    def open(self) -> None:
         os.makedirs(self.session_dir, exist_ok=True)
         stale = sorted(f for f in os.listdir(self.session_dir) if f.endswith(".msg"))
         if stale:
@@ -261,23 +263,26 @@ def _recv_frame(sock: socket.socket) -> bytearray | None:
 class TcpTransport:
     """Length-prefixed JSON frames over localhost TCP.
 
-    A background thread accepts one connection per client, and a reader
-    thread per connection cuts its byte stream into frames and queues them
-    undecoded; ``collect_at_server`` decodes each frame on the calling
-    thread. The server pushes the broadcast down the same connections.
+    The session thread accepts every connection itself: opening a client's
+    socket accepts that connection and any other pending one, and each pass
+    of ``collect_at_server`` accepts whatever is pending. A reader thread per
+    connection cuts its byte stream into frames and queues them undecoded;
+    ``collect_at_server`` decodes each frame on the session thread. The
+    server pushes the broadcast down the same connections.
 
-    A connection belongs to the client_id of its first frame. The round
-    ends at once, without waiting out ``timeout``, when:
-    - a frame does not decode: it fails, naming the round, and the client
-      once an earlier frame named it;
-    - a frame claims a client_id other than its connection's: it fails,
-      naming both ids and the round;
-    - an identified client's connection closes before its message arrives:
-      the client is missing from the round, a dropout;
-    - a connection closes before its first frame while an expected client
-      is still unidentified (round 1): it counts as one silent client, so
-      the round does not wait for a message that cannot come.
-    ``close`` shuts every connection and waits for the readers.
+    A connection belongs to the client_id of its first frame. A frame that
+    does not decode fails the round at once, naming the round, and the
+    client once an earlier frame named it; so does a frame that claims a
+    client_id other than its connection's, naming both ids and the round.
+    Otherwise the round ends, without waiting out ``timeout``, once
+    - every expected client has sent its frame for the round, or its
+      identified connection has closed; or
+    - every accepted connection has sent its frame for the round, or has
+      closed.
+    So a client whose connection closes before its message, or that never
+    connects, is missing without a wait, and a stray connection ends no
+    round early. Failing both, the round waits for ``timeout``. ``close``
+    shuts every connection and waits for the readers.
     """
 
     name = "tcp"
@@ -287,52 +292,39 @@ class TcpTransport:
         self.port = port
         self.timeout = timeout
 
-    def open(self, expected_ids: list[str]) -> None:
+    def open(self) -> None:
         self._listener = socket.create_server((self.host, self.port))
+        self._listener.settimeout(self.timeout)
         self.port = self._listener.getsockname()[1]
         # (connection, round, frame bytes | None at end of stream | framing error)
         self._inbox: queue.Queue = queue.Queue()
         self._client_socks: dict[str, socket.socket] = {}
-        # Only the collecting thread touches these: connection -> its client_id,
-        # the reverse for the broadcast, and the clients whose connection closed.
-        self._conn_ids: dict[socket.socket, str] = {}
-        self._server_conns: dict[str, socket.socket] = {}
-        self._closed_ids: set[str] = set()
-        # The lock guards the two lists below; ``_stop`` is set under it, so
-        # no reader starts after ``close`` has taken its list.
-        self._lock = threading.Lock()
         self._accepted: list[socket.socket] = []
         self._readers: list[threading.Thread] = []
-        self._stop = threading.Event()
-        self._acceptor = threading.Thread(
-            target=self._accept_loop, name="fedspike-tcp-accept", daemon=True
-        )
-        self._acceptor.start()
+        # From the inbox: connection -> its client_id, the reverse for the
+        # broadcast, and connection -> frames it has sent (inf once closed).
+        self._conn_ids: dict[socket.socket, str] = {}
+        self._server_conns: dict[str, socket.socket] = {}
+        self._frames: dict[socket.socket, float] = {}
+        self._round = 0
 
-    def _accept_loop(self) -> None:
-        self._listener.settimeout(0.1)
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            with self._lock:
-                if self._stop.is_set():
-                    conn.close()
-                    return
-                t = threading.Thread(
-                    target=self._read_loop, args=(conn,), name="fedspike-tcp-reader", daemon=True
-                )
-                self._accepted.append(conn)
-                self._readers.append(t)
-                t.start()
+    def _accept(self, until=None) -> None:
+        """Accept every pending connection and start its reader; with
+        ``until``, wait first for the connection from that address."""
+        while until is not None or select.select([self._listener], [], [], 0)[0]:
+            conn, addr = self._listener.accept()
+            reader = threading.Thread(
+                target=self._read_loop, args=(conn,), name="fedspike-tcp-reader", daemon=True
+            )
+            self._accepted.append(conn)
+            self._readers.append(reader)
+            reader.start()
+            if addr == until:
+                until = None
 
     def _read_loop(self, conn: socket.socket) -> None:
-        round_no = 0  # a client sends one frame per round, so frame k is round k
-        while not self._stop.is_set():
-            round_no += 1
+        # A client sends one frame per round, so frame k is round k.
+        for round_no in itertools.count(1):
             try:
                 payload = _recv_frame(conn)
             except OSError:
@@ -372,36 +364,36 @@ class TcpTransport:
         if sock is None:
             sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
             self._client_socks[client_id] = sock
+            self._accept(until=sock.getsockname())
         return sock
 
     def send_from_client(self, client_id: str, msg) -> None:
         _send_frame(self._client_sock(client_id), encode(msg))
 
+    def _done(self, conns) -> bool:
+        """Whether each connection has sent its frame of this round or closed;
+        ``None`` stands for a client with no identified connection yet."""
+        return all(self._frames.get(conn, 0) >= self._round for conn in conns)
+
     def collect_at_server(self, expected_ids: list[str]) -> list:
-        out, heard, silent = [], set(), 0
+        self._round += 1
+        out = []
         deadline = time.monotonic() + self.timeout
-        # One message per expected client, less those whose connection closed
-        # unheard, less the silent clients.
-        while len(out) + len(self._closed_ids.intersection(expected_ids) - heard) + silent < len(
-            expected_ids
-        ):
+        while True:
+            self._accept()
             remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
+            roster = [self._server_conns.get(cid) for cid in expected_ids]
+            if self._done(roster) or self._done(self._accepted) or remaining <= 0:
+                return out
             try:
                 conn, round_no, payload = self._inbox.get(timeout=min(remaining, 0.1))
             except queue.Empty:
                 continue
             if payload is None:  # end of stream
-                if conn in self._conn_ids:
-                    self._closed_ids.add(self._conn_ids[conn])
-                elif not self._server_conns.keys() >= set(expected_ids):
-                    silent += 1
+                self._frames[conn] = float("inf")
                 continue
-            msg = self._decode(conn, round_no, payload)
-            heard.add(getattr(msg, "client_id", None))
-            out.append(msg)
-        return out
+            out.append(self._decode(conn, round_no, payload))
+            self._frames[conn] = round_no
 
     def broadcast_from_server(self, msg: BroadcastMessage, client_ids: list[str]) -> None:
         payload = encode(msg)
@@ -423,26 +415,15 @@ class TcpTransport:
         return msg
 
     def close(self) -> None:
-        with self._lock:
-            self._stop.set()
-        for sock in self._client_socks.values():
-            try:
-                sock.close()
-            except OSError:
-                pass
-        # Shutdown wakes a thread blocked in accept or recv on the socket. The
-        # descriptors are closed only after those threads are gone, so none is
-        # reused while a thread may still read it.
-        deadline = time.monotonic() + self.timeout
-        _shutdown(self._listener)
-        self._acceptor.join(max(0.0, deadline - time.monotonic()))
-        with self._lock:
-            accepted, readers = list(self._accepted), list(self._readers)
-        for conn in accepted:
+        # Shutdown wakes a reader blocked in recv. The descriptors are closed
+        # only after the readers are gone, so none is reused while a reader
+        # may still read it.
+        for conn in self._accepted:
             _shutdown(conn)
-        for t in readers:
+        deadline = time.monotonic() + self.timeout
+        for t in self._readers:
             t.join(max(0.0, deadline - time.monotonic()))
-        for sock in [self._listener, *accepted]:
+        for sock in [self._listener, *self._accepted, *self._client_socks.values()]:
             sock.close()
 
 
@@ -500,7 +481,7 @@ def run_federated_session(
         raise SessionError("a session needs at least one client")
 
     transcript: list = []
-    transport.open(ids)
+    transport.open()
     try:
         for client in clients:
             transport.send_from_client(client.client_id, client.projector())

@@ -465,6 +465,36 @@ class _ImpostorTcp(TcpTransport):
             super().send_from_client(client_id, msg)
 
 
+class _StrayTcp(TcpTransport):
+    """TCP transport to which one raw connection, not a client's, opens as
+    the session opens: it closes at once, stays open, or sends ``frame``."""
+
+    def __init__(self, frame=None, closes=False, **kwargs):
+        super().__init__(**kwargs)
+        self.frame, self.closes = frame, closes
+
+    def open(self):
+        super().open()
+        self.stray = socket.create_connection((self.host, self.port))
+        if self.frame is not None:
+            _send_frame(self.stray, self.frame)
+        if self.closes:
+            self.stray.close()
+
+
+class _ThreadWatchTcp(TcpTransport):
+    """TCP transport that records, at each collect, the threads started
+    since it opened."""
+
+    def open(self):
+        self.before, self.started = set(threading.enumerate()), set()
+        super().open()
+
+    def collect_at_server(self, expected_ids):
+        self.started |= set(threading.enumerate()) - self.before
+        return super().collect_at_server(expected_ids)
+
+
 class TestTcpFailures:
     @pytest.mark.parametrize(
         "round_no, who", [(1, "a client not yet identified"), (2, "client 'c1'")]
@@ -512,6 +542,46 @@ class TestTcpFailures:
         assert result.responders == ["c0", "c2"]
         round_2 = [m.client_id for m in result.transcript if isinstance(m, EigenvalueMessage)]
         assert round_2 == ["c0", "c2"]
+
+    def test_a_stray_connection_closed_before_any_client_sends_ends_no_round(self):
+        _, clients, server = _session_pieces(m=3)
+        t0 = time.monotonic()
+        result = run_federated_session(clients, server, _StrayTcp(closes=True, timeout=10.0))
+        assert time.monotonic() - t0 < 2.0
+        assert result.responders == ["c0", "c1", "c2"]
+
+    def test_a_stray_connection_left_open_does_not_hold_a_round(self):
+        _, clients, server = _session_pieces(m=3)
+        transport = _StrayTcp(timeout=10.0)
+        t0 = time.monotonic()
+        try:
+            result = run_federated_session(clients, server, transport)
+        finally:
+            transport.stray.close()
+        assert time.monotonic() - t0 < 2.0
+        assert result.responders == ["c0", "c1", "c2"]
+        assert len(transport._accepted) == 4
+
+    def test_a_stray_connection_is_read(self):
+        _, clients, server = _session_pieces(m=3)
+        transport = _StrayTcp(frame=b"\xffnot a message", closes=True, timeout=10.0)
+        with pytest.raises(SessionError, match="round 1: a client not yet identified"):
+            run_federated_session(clients, server, transport)
+
+    def test_a_client_that_never_connects_is_a_dropout_at_once(self):
+        _, clients, server = _session_pieces(m=3)
+        t0 = time.monotonic()
+        result = run_federated_session(
+            clients, server, _LossyTcp("c1", timeout=10.0), allow_dropout=True
+        )
+        assert time.monotonic() - t0 < 2.0
+        assert result.responders == ["c0", "c2"]
+
+    def test_the_transport_starts_only_reader_threads(self):
+        _, clients, server = _session_pieces(m=3)
+        transport = _ThreadWatchTcp()
+        run_federated_session(clients, server, transport)
+        assert sorted(t.name for t in transport.started) == ["fedspike-tcp-reader"] * 3
 
     def test_a_frame_claiming_another_client_is_refused(self):
         _, clients, server = _session_pieces(m=2)
