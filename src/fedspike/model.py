@@ -38,12 +38,12 @@ class SpikedModel:
             raise ValueError(f"rank r={r} must satisfy 1 <= r <= p={p}")
         if spikes.shape != (r,):
             raise ValueError("spike_eigenvalues must have length r")
-        if np.any(spikes <= 0):
-            raise ValueError("spike eigenvalues must be positive")
+        if not np.all(np.isfinite(spikes) & (spikes > 0)):
+            raise ValueError(f"spike_eigenvalues must be finite and positive, got {spikes}")
         if np.any(np.diff(spikes) > 0):
             raise ValueError("spike eigenvalues must be non-increasing")
-        if not self.noise_var > 0:
-            raise ValueError("noise_var must be positive")
+        if not (np.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var!r}")
         gram_err = np.linalg.norm(u.T @ u - np.eye(r))
         if not gram_err <= ORTHONORMAL_TOL:
             raise ValueError(f"basis_u is not orthonormal (|U'U - I|_F = {gram_err:.3e})")
@@ -76,6 +76,7 @@ class Dataset:
 
     def __post_init__(self):
         self._own(np.array(self.samples, dtype=float))
+        _check_finite(self.samples)
 
     @classmethod
     def _adopt(cls, x: np.ndarray, client_id: str | None) -> Dataset:
@@ -84,7 +85,8 @@ class Dataset:
         For ``sample``, which has just filled ``x`` and holds no other
         reference to it, and for views of another dataset's read-only
         samples (``run_scenario``'s fixed_total partitions); ``x`` becomes
-        read-only.
+        read-only. ``x`` is not checked for non-finite entries: ``sample``
+        checks its draw, and a view's base was checked when it came in.
         """
         data = object.__new__(cls)
         object.__setattr__(data, "client_id", client_id)
@@ -98,8 +100,6 @@ class Dataset:
             raise ValueError("samples must be a p x n matrix")
         if x.shape[1] < 1:
             raise ValueError("dataset must contain at least one observation")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("dataset contains non-finite entries")
 
     @property
     def dim_p(self) -> int:
@@ -108,6 +108,11 @@ class Dataset:
     @property
     def n_samples(self) -> int:
         return self.samples.shape[1]
+
+
+def _check_finite(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("dataset contains non-finite entries")
 
 
 def random_orthonormal(p: int, r: int, seed: int) -> np.ndarray:
@@ -179,6 +184,7 @@ def sample(
     scale = np.sqrt(model.spike_eigenvalues)[:, None]
     z *= np.sqrt(model.noise_var)
     z += model.basis_u @ (scale * g)
+    _check_finite(z)
     return Dataset._adopt(z, client_id)
 
 

@@ -13,7 +13,6 @@ frame). A seeded session produces bit-identical results on all three.
 
 from __future__ import annotations
 
-import itertools
 import os
 import queue
 import select
@@ -56,7 +55,7 @@ __all__ = [
 
 
 class SessionError(RuntimeError):
-    """A federated session could not complete (dropouts, duplicates, ...)."""
+    """A federated session could not complete (missing clients, duplicates, ...)."""
 
 
 class ClientHandle:
@@ -143,7 +142,7 @@ class InProcessTransport:
     def send_from_client(self, client_id: str, msg) -> None:
         self._uplink.append(msg)
 
-    def collect_at_server(self, expected_ids: list[str]) -> list:
+    def collect_at_server(self, round_no: int, expected_ids: list[str]) -> list:
         got, self._uplink = self._uplink, []
         return got
 
@@ -179,7 +178,6 @@ class FileTransport:
                 f"session directory {self.session_dir} holds {stale[0]} from an earlier "
                 "session; a FileTransport needs a directory without .msg files"
             )
-        self._consumed: set[str] = set()
 
     def _path(self, round_no: int, sender: str) -> str:
         return os.path.join(self.session_dir, f"{round_no}_{sender}.msg")
@@ -195,16 +193,13 @@ class FileTransport:
     def send_from_client(self, client_id: str, msg) -> None:
         self._write(client_id, msg)
 
-    def collect_at_server(self, expected_ids: list[str]) -> list:
-        # Files persist as the session record; track what was already read.
+    def collect_at_server(self, round_no: int, expected_ids: list[str]) -> list:
         out = []
         for cid in expected_ids:
-            for round_no in (1, 2):
-                path = self._path(round_no, cid)
-                if path not in self._consumed and os.path.exists(path):
-                    with open(path, "rb") as fh:
-                        out.append(decode(fh.read()))
-                    self._consumed.add(path)
+            path = self._path(round_no, cid)
+            if os.path.exists(path):
+                with open(path, "rb") as fh:
+                    out.append(decode(fh.read()))
         return out
 
     def broadcast_from_server(self, msg: BroadcastMessage, client_ids: list[str]) -> None:
@@ -296,7 +291,7 @@ class TcpTransport:
         self._listener = socket.create_server((self.host, self.port))
         self._listener.settimeout(self.timeout)
         self.port = self._listener.getsockname()[1]
-        # (connection, round, frame bytes | None at end of stream | framing error)
+        # (connection, frame bytes | None at end of stream | framing error)
         self._inbox: queue.Queue = queue.Queue()
         self._client_socks: dict[str, socket.socket] = {}
         self._accepted: list[socket.socket] = []
@@ -306,7 +301,6 @@ class TcpTransport:
         self._conn_ids: dict[socket.socket, str] = {}
         self._server_conns: dict[str, socket.socket] = {}
         self._frames: dict[socket.socket, float] = {}
-        self._round = 0
 
     def _accept(self, until=None) -> None:
         """Accept every pending connection and start its reader; with
@@ -323,15 +317,14 @@ class TcpTransport:
                 until = None
 
     def _read_loop(self, conn: socket.socket) -> None:
-        # A client sends one frame per round, so frame k is round k.
-        for round_no in itertools.count(1):
+        while True:
             try:
                 payload = _recv_frame(conn)
             except OSError:
                 payload = None
             except MessageDecodeError as exc:  # the stream cannot be cut into frames
                 payload = exc
-            self._inbox.put((conn, round_no, payload))
+            self._inbox.put((conn, payload))
             if not isinstance(payload, bytearray):
                 return
 
@@ -370,23 +363,23 @@ class TcpTransport:
     def send_from_client(self, client_id: str, msg) -> None:
         _send_frame(self._client_sock(client_id), encode(msg))
 
-    def _done(self, conns) -> bool:
-        """Whether each connection has sent its frame of this round or closed;
+    def _done(self, conns, round_no: int) -> bool:
+        """Whether each connection has sent its frame of the round or closed;
         ``None`` stands for a client with no identified connection yet."""
-        return all(self._frames.get(conn, 0) >= self._round for conn in conns)
+        return all(self._frames.get(conn, 0) >= round_no for conn in conns)
 
-    def collect_at_server(self, expected_ids: list[str]) -> list:
-        self._round += 1
+    def collect_at_server(self, round_no: int, expected_ids: list[str]) -> list:
         out = []
         deadline = time.monotonic() + self.timeout
         while True:
             self._accept()
             remaining = deadline - time.monotonic()
             roster = [self._server_conns.get(cid) for cid in expected_ids]
-            if self._done(roster) or self._done(self._accepted) or remaining <= 0:
+            done = self._done(roster, round_no) or self._done(self._accepted, round_no)
+            if done or remaining <= 0:
                 return out
             try:
-                conn, round_no, payload = self._inbox.get(timeout=min(remaining, 0.1))
+                conn, payload = self._inbox.get(timeout=min(remaining, 0.1))
             except queue.Empty:
                 continue
             if payload is None:  # end of stream
@@ -436,7 +429,7 @@ class TcpTransport:
 _UPLINK = {1: ProjectorMessage, 2: EigenvalueMessage}
 
 
-def _expect(received: list, expected_ids: list[str], allow_dropout: bool, round_no: int):
+def _expect(received: list, expected_ids: list[str], round_no: int) -> list:
     round_name = f"round {round_no}"
     kind = _UPLINK[round_no]
     by_id: dict[str, object] = {}
@@ -455,24 +448,19 @@ def _expect(received: list, expected_ids: list[str], allow_dropout: bool, round_
             raise SessionError(f"duplicate client_id {cid!r} in {round_name}")
         by_id[cid] = msg
     missing = sorted(set(expected_ids) - set(by_id))
-    if missing and not allow_dropout:
+    if missing:
         raise SessionError(f"clients did not respond in {round_name}: {missing}")
-    if not by_id:
-        raise SessionError(f"no client responded in {round_name}")
-    return [by_id[cid] for cid in sorted(by_id)], missing
+    return [by_id[cid] for cid in sorted(by_id)]
 
 
 def run_federated_session(
-    clients: list[ClientHandle],
-    server: ServerHandle,
-    transport,
-    allow_dropout: bool = False,
+    clients: list[ClientHandle], server: ServerHandle, transport
 ) -> SessionResult:
     """Execute the two-round exchange and assemble the covariance estimate.
 
-    Strict mode (the default) errors out listing any client that failed to
-    respond; with ``allow_dropout`` the weights are renormalized over the
-    responders. The transcript records every message in order handled.
+    Every client takes part in both rounds: a client missing from a round
+    fails the session with a ``SessionError`` that lists it. The transcript
+    records every message in order handled.
     """
     ids = [c.client_id for c in clients]
     if len(set(ids)) != len(ids):
@@ -485,33 +473,19 @@ def run_federated_session(
     try:
         for client in clients:
             transport.send_from_client(client.client_id, client.projector())
-        proj_msgs, missing = _expect(
-            transport.collect_at_server(ids), ids, allow_dropout, 1
-        )
+        proj_msgs = _expect(transport.collect_at_server(1, ids), ids, 1)
         transcript.extend(proj_msgs)
-        responders = [m.client_id for m in proj_msgs]
 
         weights = server.weights_for(proj_msgs)
-        if missing and server.explicit_weights is not None:
-            # Scheme-based weights are computed from the received messages
-            # and already renormalize over responders; an explicit vector is
-            # keyed to the full roster and must be restricted.
-            weights = weights.restrict(responders, ids)
         broadcast = BroadcastMessage(aggregate_projectors(proj_msgs, weights))
-        transport.broadcast_from_server(broadcast, responders)
+        transport.broadcast_from_server(broadcast, ids)
         transcript.append(broadcast)
 
-        responding = [c for c in clients if c.client_id in responders]
-        for client in responding:
+        for client in clients:
             received = transport.receive_at_client(client.client_id)
             transport.send_from_client(client.client_id, client.eigenvalues(received))
-        eig_msgs, missing2 = _expect(
-            transport.collect_at_server(responders), responders, allow_dropout, 2
-        )
+        eig_msgs = _expect(transport.collect_at_server(2, ids), ids, 2)
         transcript.extend(eig_msgs)
-        if missing2:
-            weights = weights.restrict([m.client_id for m in eig_msgs], responders)
-            responders = [m.client_id for m in eig_msgs]
         sigma_hat = assemble_covariance(broadcast.u_hat_global, eig_msgs, weights, server.sigma2)
     finally:
         transport.close()
@@ -521,5 +495,5 @@ def run_federated_session(
         sigma_hat=sigma_hat,
         weights=weights,
         transcript=transcript,
-        responders=responders,
+        responders=sorted(ids),
     )

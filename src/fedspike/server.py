@@ -39,6 +39,8 @@ class AggregationWeights:
             object.__setattr__(self, name, w)
             if w.ndim != 1 or w.size < 1:
                 raise ValueError(f"{name} must be a non-empty vector")
+            if not np.all(np.isfinite(w)):
+                raise ValueError(f"{name} has non-finite entries")
             if np.any(w < 0):
                 raise ValueError(f"{name} has negative entries")
             if abs(w.sum() - 1.0) > _SIMPLEX_TOL:
@@ -47,16 +49,6 @@ class AggregationWeights:
             raise ValueError("weight vectors must have equal length")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-
-    def restrict(self, keep_ids: Sequence[str], all_ids: Sequence[str]) -> "AggregationWeights":
-        """Renormalize over a surviving subset of clients (dropout mode)."""
-        order = sorted(all_ids)
-        mask = np.array([cid in set(keep_ids) for cid in order])
-        if not mask.any():
-            raise ValueError("cannot restrict weights to an empty client set")
-        w = self.pca_w[mask]
-        v = self.cov_v[mask]
-        return AggregationWeights(w / w.sum(), v / v.sum(), self.scheme)
 
 
 def _normalized(raw: np.ndarray) -> np.ndarray:

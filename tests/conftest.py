@@ -13,7 +13,7 @@ from fedspike import SpikedModel, random_orthonormal
 @pytest.fixture(autouse=True)
 def no_fedspike_thread_outlives_the_test():
     """Fail a test that leaves a ``fedspike-*`` thread running: the digest
-    pool of ``run_scenario`` or a TCP transport's accept and reader threads."""
+    pool of ``run_scenario`` or a TCP transport's reader threads."""
     before = set(threading.enumerate())
     yield
     left = sorted(

@@ -105,9 +105,11 @@ class TestRunScenario:
         result = run_scenario(spec, out_dir=tmp_path)
         assert len(result.records) == 2 * 2 * 4  # sweeps x reps x methods
         assert result.csv_path and result.svg_path
-        header = open(result.csv_path).readline().strip()
+        with open(result.csv_path) as fh:
+            header = fh.readline().strip()
         assert header == CSV_HEADER
-        svg = open(result.svg_path).read()
+        with open(result.svg_path) as fh:
+            svg = fh.read()
         assert svg.startswith("<svg") or "<svg" in svg
         assert svg.count("<polyline") == 4
 

@@ -55,6 +55,20 @@ class TestSpikedModel:
         with pytest.raises(ValueError):
             SpikedModel(u, np.array([1.0]), 0.0)
 
+    @pytest.mark.parametrize(
+        "field, spikes, noise_var",
+        [
+            ("spike_eigenvalues", [np.inf], 1.0),
+            ("spike_eigenvalues", [np.nan], 1.0),
+            ("noise_var", [1.0], np.inf),
+        ],
+        ids=["inf-spike", "nan-spike", "inf-noise_var"],
+    )
+    def test_rejects_non_finite_naming_the_field(self, field, spikes, noise_var):
+        u = random_orthonormal(4, 1, 0)
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            SpikedModel(u, np.array(spikes), noise_var)
+
     def test_spike_scalar_is_smallest(self):
         model = make_model(5, 2, [4.0, 2.0], 1.0, 3)
         assert model.spike_scalar == 2.0
@@ -174,8 +188,15 @@ class TestDataset:
     def test_rejects_non_finite(self):
         x = np.ones((2, 3))
         x[0, 1] = np.nan
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="dataset contains non-finite entries"):
             Dataset(x)
+
+    def test_sample_rejects_non_finite_normals(self):
+        model = make_model(3, 1, 4.0, 1.0, 0)
+        g, z = np.zeros((1, 5)), np.zeros((3, 5))
+        z[2, 4] = np.nan
+        with pytest.raises(ValueError, match="dataset contains non-finite entries"):
+            sample(model, 5, 0, normals=(g, z))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
