@@ -4,10 +4,22 @@ The solver is LAPACK's symmetric eigenroutine (via numpy.linalg.eigh) with
 a deterministic ordering and sign convention layered on top: eigenvalues
 are reported in descending order and each eigenvector is flipped so its
 largest-magnitude entry is positive (ties broken by lowest index).
+
+An eigensolve of dimension at most 64 runs with OpenBLAS held at one thread
+(set through the C API of the OpenBLAS numpy loaded, then restored). At that
+size a second thread only spins, on the core the package's helper threads
+need. A module lock is held from the save to the restore, so concurrent
+eigensolves cannot leave the process at one thread. The count is per
+process: a thread of the caller's own that calls BLAS while such an
+eigensolve runs also runs single-threaded.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +36,57 @@ class EigenDecomposition:
     vectors: np.ndarray
 
 
+# Largest dimension whose eigensolve runs at one BLAS thread: the largest the
+# cross-process bit check in tests/test_blas_threads.py covers. On seeded
+# matrices eigh gave the same bits at one and two threads up to p = 192 and
+# differed from p = 224, so larger solves keep the process's thread count.
+_ONE_THREAD_MAX_DIM = 64
+# (getter, setter) of each OpenBLAS build numpy may load, in lookup order.
+_BLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+_blas_lock = threading.Lock()
+
+
+@functools.cache
+def _blas_threads_api():
+    """The thread-count getter and setter of the loaded OpenBLAS, or None.
+    Looked up on the first small eigensolve, not at import."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _BLAS_SYMBOLS:
+            get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Hold OpenBLAS at one thread for the block, then restore its count."""
+    with _blas_lock:
+        api = _blas_threads_api()
+        if api is None:
+            yield
+            return
+        get, put = api
+        saved = get()
+        put(1)
+        try:
+            yield
+        finally:
+            put(saved)
+
+
 def sym_eig(m: np.ndarray, k: int | None = None) -> EigenDecomposition:
     """Eigendecomposition of a symmetric matrix: all eigenvalues and the
     eigenvectors of the k largest (all of them when k is None).
@@ -31,6 +94,10 @@ def sym_eig(m: np.ndarray, k: int | None = None) -> EigenDecomposition:
     The input is symmetrized as (M + M^T)/2 before factorization; callers
     are expected to pass matrices that are symmetric up to roundoff. The
     columns returned for a given k are those of the full decomposition.
+
+    Up to dimension 64 the solve runs with OpenBLAS held at one thread,
+    under a module lock (see the module docstring); a BLAS call on another
+    thread meanwhile runs single-threaded too.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -43,7 +110,8 @@ def sym_eig(m: np.ndarray, k: int | None = None) -> EigenDecomposition:
     elif not 1 <= k <= dim:
         raise ValueError(f"k={k} must lie between 1 and the matrix dimension {dim}")
     sym = (m + m.T) / 2.0
-    vals, vecs = np.linalg.eigh(sym)
+    with _one_blas_thread() if dim <= _ONE_THREAD_MAX_DIM else nullcontext():
+        vals, vecs = np.linalg.eigh(sym)
     vals = vals[::-1].copy()
     vecs = vecs[:, ::-1][:, :k]
     # Deterministic signs: largest-|entry| of each column made positive.

@@ -245,14 +245,17 @@ def _session_pieces(m=3, p=10, r=1, n=80, heterogeneous=False, seed=0):
 
 
 class _LosesUplink:
-    """Transport mixin that loses every message client ``lost`` sends."""
+    """Transport mixin that loses every message client ``lost`` sends in
+    ``rounds``."""
+
+    rounds = (1, 2)
 
     def __init__(self, lost, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.lost = lost
 
     def send_from_client(self, client_id, msg):
-        if client_id != self.lost:
+        if client_id != self.lost or msg.round not in self.rounds:
             super().send_from_client(client_id, msg)
 
 
@@ -266,6 +269,13 @@ class _LossyFile(_LosesUplink, FileTransport):
 
 class _LossyTcp(_LosesUplink, TcpTransport):
     pass
+
+
+class _SilentInRound2Tcp(_LossyTcp):
+    """Client ``lost`` sends its round-1 frame, then stays connected but
+    silent."""
+
+    rounds = (2,)
 
 
 class TestSession:
@@ -360,10 +370,12 @@ class TestSession:
         with pytest.raises(SessionError, match=r"did not respond in round 1: \['c1'\]"):
             run_federated_session(clients, server, transport)
 
-    def test_dropout_over_tcp_times_out(self):
+    def test_a_connected_client_silent_in_round_2_times_out(self):
         _, clients, server = _session_pieces(m=2)
-        with pytest.raises(SessionError, match="c0"):
-            run_federated_session(clients, server, _LossyTcp("c0", timeout=0.8))
+        start = time.monotonic()
+        with pytest.raises(SessionError, match=r"did not respond in round 2: \['c0'\]"):
+            run_federated_session(clients, server, _SilentInRound2Tcp("c0", timeout=0.8))
+        assert time.monotonic() - start >= 0.8
 
     def test_explicit_weights_override(self):
         from fedspike import AggregationWeights
