@@ -8,19 +8,20 @@ blocks client -> server. Messages travel in the bit-exact JSON encoding of
 Three interchangeable transports are provided: in-process (plain object
 hand-off), file exchange (one ``{round}_{client_id}.msg`` file per message
 in a session directory), and TCP (4-byte big-endian length prefix per
-frame). A seeded session produces bit-identical results on all three.
+frame, with all socket I/O on the session thread). A seeded session
+produces bit-identical results on all three.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
-import queue
-import select
 import socket
 import struct
-import threading
 import time
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from selectors import EVENT_READ, EVENT_WRITE, DefaultSelector
 
 import numpy as np
 
@@ -158,6 +159,23 @@ class InProcessTransport:
         pass
 
 
+def _decode_or_fail(payload, failure: str):
+    """The message in ``payload``, or a SessionError that starts with ``failure``."""
+    try:
+        if isinstance(payload, MessageDecodeError):
+            raise payload
+        return decode(payload)
+    except MessageDecodeError as exc:
+        raise SessionError(f"{failure}: {exc}") from exc
+
+
+def _as_broadcast(payload, client_id: str) -> BroadcastMessage:
+    msg = _decode_or_fail(payload, f"round 2: client {client_id!r} got an undecodable broadcast")
+    if not isinstance(msg, BroadcastMessage):
+        raise SessionError("unexpected message type on the broadcast channel")
+    return msg
+
+
 class FileTransport:
     """One file per message, named ``{round}_{client_id}.msg``, in a directory
     that holds no ``.msg`` file when the session opens. A message is encoded
@@ -199,7 +217,8 @@ class FileTransport:
             path = self._path(round_no, cid)
             if os.path.exists(path):
                 with open(path, "rb") as fh:
-                    out.append(decode(fh.read()))
+                    failure = f"round {round_no}: client {cid!r} sent an undecodable message"
+                    out.append(_decode_or_fail(fh.read(), failure))
         return out
 
     def broadcast_from_server(self, msg: BroadcastMessage, client_ids: list[str]) -> None:
@@ -210,74 +229,61 @@ class FileTransport:
         if not os.path.exists(path):
             raise SessionError(f"no broadcast file for client {client_id}")
         with open(path, "rb") as fh:
-            return decode(fh.read())
+            return _as_broadcast(fh.read(), client_id)
 
     def close(self) -> None:
         pass
 
 
-# 256 MiB: at ~25 bytes per matrix entry, only a p x r frame with p*r near 1e7
-# comes close.
+# 256 MiB: at ~25 bytes a matrix entry, only a p x r frame with p*r near 1e7 comes close.
 _MAX_FRAME = 1 << 28
 
 
-def _send_frame(sock: socket.socket, payload: bytes) -> None:
-    sock.sendall(struct.pack(">I", len(payload)) + payload)
-
-
-def _shutdown(sock: socket.socket) -> None:
+def _read_frames(sock: socket.socket, buf: bytearray, frames: deque) -> bool:
+    """Read what ``sock`` holds into ``buf``, moving each whole frame to
+    ``frames``. False once the stream has ended: ``frames`` then ends with None
+    (a frame cut short is dropped) or with the refusal of an oversized prefix."""
     try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:  # not connected, or the peer already closed
-        pass
-
-
-def _recv_exact(sock: socket.socket, count: int) -> bytearray | None:
-    buf = bytearray(count)
-    view = memoryview(buf)
-    got = 0
-    while got < count:
-        k = sock.recv_into(view[got:])
-        if not k:
-            return None
-        got += k
-    return buf
-
-
-def _recv_frame(sock: socket.socket) -> bytearray | None:
-    head = _recv_exact(sock, 4)
-    if head is None:
-        return None
-    (length,) = struct.unpack(">I", head)
-    if length > _MAX_FRAME:
-        # The frame buffer is allocated before its bytes arrive.
-        raise MessageDecodeError(f"frame length {length} exceeds {_MAX_FRAME} bytes")
-    return _recv_exact(sock, length)
+        data = sock.recv(1 << 18)
+    except OSError:  # reset by the peer
+        data = b""
+    if not data:
+        frames.append(None)
+        return False
+    buf += data
+    while len(buf) >= 4:
+        (length,) = struct.unpack_from(">I", buf)
+        if length > _MAX_FRAME:
+            frames.append(MessageDecodeError(f"frame length {length} exceeds {_MAX_FRAME} bytes"))
+            return False
+        if len(buf) < 4 + length:
+            break
+        frames.append(buf[4 : 4 + length])
+        del buf[: 4 + length]
+    return True
 
 
 class TcpTransport:
-    """Length-prefixed JSON frames over localhost TCP.
-
-    The session thread accepts every connection itself: opening a client's
-    socket accepts that connection and any other pending one, and each pass
-    of ``collect_at_server`` accepts whatever is pending. A reader thread per
-    connection cuts its byte stream into frames and queues them undecoded;
-    ``collect_at_server`` decodes each frame on the session thread. The
-    server pushes the broadcast down the same connections.
+    """Length-prefixed JSON frames over localhost TCP, all on the session
+    thread. One pump accepts connections and cuts what each socket, server
+    end or client end, receives into frames, kept per socket. A send pumps
+    while its socket takes no more bytes, so no frame size can hang the
+    session; opening a client's socket pumps until that connection is
+    accepted, ``receive_at_client`` until the broadcast arrives, and
+    ``collect_at_server`` until the round ends, decoding each connection's
+    frames in accept order.
 
     A connection belongs to the client_id of its first frame. A frame that
     does not decode fails the round at once, naming the round, and the
     client once an earlier frame named it; so does a frame that claims a
     client_id other than its connection's, naming both ids and the round.
-    Otherwise the round ends, without waiting out ``timeout``, once
-    - every expected client has sent its frame for the round, or its
-      identified connection has closed; or
-    - every accepted connection has sent its frame for the round, or has
-      closed.
-    So a client whose connection closes before its message, or that never
-    connects, is missing without a wait, and a stray connection ends no
-    round early. Failing both, the round waits for ``timeout``. ``close``
-    shuts every connection and waits for the readers.
+    Otherwise the round ends, without waiting out ``timeout``, once every
+    expected client has sent its frame for the round or had its identified
+    connection close, or once every accepted connection has sent its frame
+    for the round or closed. So a client whose connection closes before its
+    message, or that never connects, is missing without a wait, and a stray
+    connection ends no round early. Failing both, the round waits for
+    ``timeout``. Frames not decoded when a round ends stay for the next one.
     """
 
     name = "tcp"
@@ -289,58 +295,60 @@ class TcpTransport:
 
     def open(self) -> None:
         self._listener = socket.create_server((self.host, self.port))
-        self._listener.settimeout(self.timeout)
+        self._listener.setblocking(False)
         self.port = self._listener.getsockname()[1]
-        # (connection, frame bytes | None at end of stream | framing error)
-        self._inbox: queue.Queue = queue.Queue()
         self._client_socks: dict[str, socket.socket] = {}
-        self._accepted: list[socket.socket] = []
-        self._readers: list[threading.Thread] = []
-        # From the inbox: connection -> its client_id, the reverse for the
-        # broadcast, and connection -> frames it has sent (inf once closed).
+        self._accepted: dict[socket.socket, tuple] = {}  # server end -> peer, in accept order
+        # Per socket: bytes not yet cut, while it is read; its frames, then its end.
+        self._bufs: dict[socket.socket, bytearray] = {}
+        self._inbox: dict[socket.socket, deque] = defaultdict(deque)
+        # From decoded frames: conn -> client_id, the reverse, conn -> frames sent (inf: closed).
         self._conn_ids: dict[socket.socket, str] = {}
         self._server_conns: dict[str, socket.socket] = {}
         self._frames: dict[socket.socket, float] = {}
 
-    def _accept(self, until=None) -> None:
-        """Accept every pending connection and start its reader; with
-        ``until``, wait first for the connection from that address."""
-        while until is not None or select.select([self._listener], [], [], 0)[0]:
-            conn, addr = self._listener.accept()
-            reader = threading.Thread(
-                target=self._read_loop, args=(conn,), name="fedspike-tcp-reader", daemon=True
-            )
-            self._accepted.append(conn)
-            self._readers.append(reader)
-            reader.start()
-            if addr == until:
-                until = None
-
-    def _read_loop(self, conn: socket.socket) -> None:
-        while True:
-            try:
-                payload = _recv_frame(conn)
-            except OSError:
-                payload = None
-            except MessageDecodeError as exc:  # the stream cannot be cut into frames
-                payload = exc
-            self._inbox.put((conn, payload))
-            if not isinstance(payload, bytearray):
+    def _pump(self, done, failure: str = "", writer: socket.socket | None = None) -> None:
+        """Until ``done()``, accept connections, cut what arrives into frames and
+        wake on room in ``writer``; past ``timeout``, return or raise ``failure``."""
+        deadline = time.monotonic() + self.timeout
+        while not done():
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                if failure:
+                    raise SessionError(f"{failure} after {self.timeout} s")
                 return
+            with DefaultSelector() as sel:
+                for sock in (self._listener, *self._bufs):
+                    if sock.fileno() != -1:  # not closed at its own end
+                        sel.register(sock, EVENT_READ | (sock is writer) * EVENT_WRITE)
+                ready = [(key.fileobj, events) for key, events in sel.select(remaining)]
+            for sock, events in ready:
+                if sock is self._listener:
+                    conn, addr = sock.accept()
+                    self._accepted[conn] = addr
+                    conn.setblocking(False)
+                    self._bufs[conn] = bytearray()
+                elif events & EVENT_READ:
+                    if not _read_frames(sock, self._bufs[sock], self._inbox[sock]):
+                        del self._bufs[sock]
+
+    def _send(self, sock: socket.socket, payload: bytes, round_no: int, client_id: str) -> None:
+        rest = memoryview(struct.pack(">I", len(payload)) + payload)
+
+        def sent() -> bool:
+            nonlocal rest
+            with contextlib.suppress(BlockingIOError):
+                rest = rest[sock.send(rest) :]
+            return not rest
+
+        self._pump(sent, f"round {round_no}: client {client_id!r}'s connection stalled", sock)
 
     def _decode(self, conn: socket.socket, round_no: int, payload) -> object:
-        """The message in one queued frame, checked against its connection's
+        """The message in one frame, checked against its connection's
         client_id, which the first frame that carries one sets."""
-        try:
-            if isinstance(payload, MessageDecodeError):
-                raise payload
-            msg = decode(payload)
-        except MessageDecodeError as exc:
-            owner = self._conn_ids.get(conn)
-            who = f"client {owner!r}" if owner else "a client not yet identified"
-            raise SessionError(
-                f"round {round_no}: {who} sent an undecodable frame: {exc}"
-            ) from exc
+        owner = self._conn_ids.get(conn)
+        who = f"client {owner!r}" if owner else "a client not yet identified"
+        msg = _decode_or_fail(payload, f"round {round_no}: {who} sent an undecodable frame")
         cid = getattr(msg, "client_id", None)
         if cid is not None:
             owner = self._conn_ids.setdefault(conn, cid)
@@ -357,36 +365,39 @@ class TcpTransport:
         if sock is None:
             sock = socket.create_connection((self.host, self.port), timeout=self.timeout)
             self._client_socks[client_id] = sock
-            self._accept(until=sock.getsockname())
+            sock.setblocking(False)
+            self._bufs[sock] = bytearray()
+            self._pump(lambda: sock.getsockname() in self._accepted.values())
         return sock
 
     def send_from_client(self, client_id: str, msg) -> None:
-        _send_frame(self._client_sock(client_id), encode(msg))
-
-    def _done(self, conns, round_no: int) -> bool:
-        """Whether each connection has sent its frame of the round or closed;
-        ``None`` stands for a client with no identified connection yet."""
-        return all(self._frames.get(conn, 0) >= round_no for conn in conns)
+        self._send(self._client_sock(client_id), encode(msg), msg.round, client_id)
 
     def collect_at_server(self, round_no: int, expected_ids: list[str]) -> list:
         out = []
-        deadline = time.monotonic() + self.timeout
-        while True:
-            self._accept()
-            remaining = deadline - time.monotonic()
+
+        def over() -> bool:
+            # None stands for a client with no identified connection yet.
             roster = [self._server_conns.get(cid) for cid in expected_ids]
-            done = self._done(roster, round_no) or self._done(self._accepted, round_no)
-            if done or remaining <= 0:
-                return out
-            try:
-                conn, payload = self._inbox.get(timeout=min(remaining, 0.1))
-            except queue.Empty:
-                continue
-            if payload is None:  # end of stream
-                self._frames[conn] = float("inf")
-                continue
-            out.append(self._decode(conn, round_no, payload))
-            self._frames[conn] = round_no
+            return any(
+                all(self._frames.get(conn, 0) >= round_no for conn in conns)
+                for conns in (roster, self._accepted)
+            )
+
+        def decoded_until_over() -> bool:
+            for conn in self._accepted:
+                frames = self._inbox[conn]
+                while frames and not over():
+                    payload = frames.popleft()
+                    if payload is None:  # end of stream
+                        self._frames[conn] = float("inf")
+                    else:
+                        out.append(self._decode(conn, round_no, payload))
+                        self._frames[conn] = round_no
+            return over()
+
+        self._pump(decoded_until_over)
+        return out
 
     def broadcast_from_server(self, msg: BroadcastMessage, client_ids: list[str]) -> None:
         payload = encode(msg)
@@ -394,28 +405,17 @@ class TcpTransport:
             conn = self._server_conns.get(cid)
             if conn is None:
                 raise SessionError(f"no connection for client {cid}")
-            _send_frame(conn, payload)
+            self._send(conn, payload, msg.round, cid)
 
     def receive_at_client(self, client_id: str) -> BroadcastMessage:
-        sock = self._client_socks[client_id]
-        sock.settimeout(self.timeout)
-        payload = _recv_frame(sock)
+        frames = self._inbox[self._client_socks[client_id]]
+        self._pump(lambda: frames, f"round 2: no broadcast reached client {client_id!r}")
+        payload = frames.popleft()
         if payload is None:
             raise SessionError(f"connection closed before broadcast reached {client_id}")
-        msg = decode(payload)
-        if not isinstance(msg, BroadcastMessage):
-            raise SessionError("unexpected message type on the broadcast channel")
-        return msg
+        return _as_broadcast(payload, client_id)
 
     def close(self) -> None:
-        # Shutdown wakes a reader blocked in recv. The descriptors are closed
-        # only after the readers are gone, so none is reused while a reader
-        # may still read it.
-        for conn in self._accepted:
-            _shutdown(conn)
-        deadline = time.monotonic() + self.timeout
-        for t in self._readers:
-            t.join(max(0.0, deadline - time.monotonic()))
         for sock in [self._listener, *self._accepted, *self._client_socks.values()]:
             sock.close()
 

@@ -12,8 +12,8 @@ from fedspike import SpikedModel, random_orthonormal
 
 @pytest.fixture(autouse=True)
 def no_fedspike_thread_outlives_the_test():
-    """Fail a test that leaves a ``fedspike-*`` thread running: the digest
-    pool of ``run_scenario`` or a TCP transport's reader threads."""
+    """Fail a test that leaves a ``fedspike-*`` thread running, such as the
+    digest pool of ``run_scenario`` (a TCP session starts no thread)."""
     before = set(threading.enumerate())
     yield
     left = sorted(

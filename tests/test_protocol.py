@@ -4,6 +4,7 @@ import struct
 import threading
 import time
 import warnings
+from collections import deque
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from fedspike import (
     sample,
 )
 from fedspike.messages import MessageError
-from fedspike.protocol import _recv_frame, _send_frame
+from fedspike.protocol import _read_frames
 from fedspike.server import aggregate_projectors, assemble_covariance, pca_weights
 
 
@@ -244,6 +245,11 @@ def _session_pieces(m=3, p=10, r=1, n=80, heterogeneous=False, seed=0):
     return model, clients, server
 
 
+def _frame(payload):
+    """``payload`` with the TCP transport's 4-byte big-endian length prefix."""
+    return struct.pack(">I", len(payload)) + payload
+
+
 class _LosesUplink:
     """Transport mixin that loses every message client ``lost`` sends in
     ``rounds``."""
@@ -276,6 +282,47 @@ class _SilentInRound2Tcp(_LossyTcp):
     silent."""
 
     rounds = (2,)
+
+
+class _GarbledFile(FileTransport):
+    """File transport that writes undecodable bytes in place of the message
+    file named ``garbled``."""
+
+    def __init__(self, garbled, session_dir):
+        super().__init__(session_dir)
+        self.garbled = garbled
+
+    def _write(self, sender, msg):
+        if f"{msg.round}_{sender}.msg" != self.garbled:
+            super()._write(sender, msg)
+        else:
+            with open(self._path(msg.round, sender), "wb") as fh:
+                fh.write(b"\xffnot a message")
+
+
+def _shrink_buffers(sock):
+    for option in (socket.SO_SNDBUF, socket.SO_RCVBUF):
+        sock.setsockopt(socket.SOL_SOCKET, option, 16384)
+
+
+class _SmallBufferTcp(TcpTransport):
+    """TCP transport whose sockets buffer only 16 kB each way (a few kB
+    would stall each send for the kernel's 0.2-s persist timer); accepted
+    connections take the listener's sizes. ``buffered`` is what the two ends
+    of one connection can hold in flight, as the kernel reports it."""
+
+    def open(self):
+        super().open()
+        _shrink_buffers(self._listener)
+
+    def _client_sock(self, client_id):
+        sock = super()._client_sock(client_id)
+        _shrink_buffers(sock)
+        self.buffered = sum(
+            sock.getsockopt(socket.SOL_SOCKET, option)
+            for option in (socket.SO_SNDBUF, socket.SO_RCVBUF)
+        )
+        return sock
 
 
 class TestSession:
@@ -370,6 +417,37 @@ class TestSession:
         with pytest.raises(SessionError, match=r"did not respond in round 1: \['c1'\]"):
             run_federated_session(clients, server, transport)
 
+    @pytest.mark.parametrize(
+        "garbled, failure",
+        [
+            ("1_c1.msg", "round 1: client 'c1' sent an undecodable message: malformed"),
+            ("2_server.msg", "round 2: client 'c0' got an undecodable broadcast: malformed"),
+        ],
+        ids=["uplink", "broadcast"],
+    )
+    def test_an_undecodable_file_names_its_round_and_client(self, garbled, failure, tmp_path):
+        _, clients, server = _session_pieces(m=2)
+        with pytest.raises(SessionError, match=failure):
+            run_federated_session(clients, server, _GarbledFile(garbled, tmp_path / "s6"))
+
+    def test_frames_larger_than_the_socket_buffers_go_through(self):
+        _, clients, server = _session_pieces(m=2, p=800, r=20)
+        transport = _SmallBufferTcp(timeout=10.0)
+        results = []
+        session = threading.Thread(
+            target=lambda: results.append(run_federated_session(clients, server, transport)),
+            daemon=True,
+        )
+        session.start()
+        session.join(timeout=30.0)
+        assert not session.is_alive(), "the session hung on frames its sockets cannot buffer"
+        broadcast = results[0].transcript[2]
+        # On loopback one send may queue a 64 kB segment past SO_SNDBUF.
+        assert len(encode(broadcast)) > 2 * (transport.buffered + (1 << 16))
+        reference = run_federated_session(clients, server, InProcessTransport())
+        assert np.array_equal(results[0].u_hat, reference.u_hat)
+        assert np.array_equal(results[0].sigma_hat, reference.sigma_hat)
+
     def test_a_connected_client_silent_in_round_2_times_out(self):
         _, clients, server = _session_pieces(m=2)
         start = time.monotonic()
@@ -431,7 +509,7 @@ class _GarbageTcp(TcpTransport):
 
     def send_from_client(self, client_id, msg):
         if (client_id, msg.round) == self.garbled:
-            _send_frame(self._client_sock(client_id), b"\xffnot a message")
+            self._client_sock(client_id).sendall(_frame(b"\xffnot a message"))
         else:
             super().send_from_client(client_id, msg)
 
@@ -462,9 +540,8 @@ class _ImpostorTcp(TcpTransport):
 
     def send_from_client(self, client_id, msg):
         if (client_id, msg.round) == (self.sender, 2):
-            _send_frame(self._client_sock(self.carrier), encode(msg))
-        else:
-            super().send_from_client(client_id, msg)
+            client_id = self.carrier
+        super().send_from_client(client_id, msg)
 
 
 class _StrayTcp(TcpTransport):
@@ -479,7 +556,7 @@ class _StrayTcp(TcpTransport):
         super().open()
         self.stray = socket.create_connection((self.host, self.port))
         if self.frame is not None:
-            _send_frame(self.stray, self.frame)
+            self.stray.sendall(_frame(self.frame))
         if self.closes:
             self.stray.close()
 
@@ -495,6 +572,29 @@ class _ThreadWatchTcp(TcpTransport):
     def collect_at_server(self, round_no, expected_ids):
         self.started |= set(threading.enumerate()) - self.before
         return super().collect_at_server(round_no, expected_ids)
+
+
+class _BroadcastTcp(TcpTransport):
+    """TCP transport whose server sends client c0 ``frame`` in place of the
+    broadcast, or nothing when ``frame`` is None."""
+
+    def __init__(self, frame, **kwargs):
+        super().__init__(**kwargs)
+        self.frame = frame
+
+    def broadcast_from_server(self, msg, client_ids):
+        if self.frame is not None:
+            self._server_conns["c0"].sendall(_frame(self.frame))
+
+
+class _RefusedPrefixTcp(_SmallBufferTcp):
+    """Client c1 opens its stream with an oversized length prefix, so the
+    server stops reading its connection."""
+
+    def send_from_client(self, client_id, msg):
+        if (client_id, msg.round) == ("c1", 1):
+            self._client_sock(client_id).sendall(struct.pack(">I", 2**32 - 1))
+        super().send_from_client(client_id, msg)
 
 
 class TestTcpFailures:
@@ -555,11 +655,27 @@ class TestTcpFailures:
             run_federated_session(clients, server, _LossyTcp("c1", timeout=10.0))
         assert time.monotonic() - t0 < 2.0
 
-    def test_the_transport_starts_only_reader_threads(self):
+    def test_a_tcp_session_starts_no_thread(self):
         _, clients, server = _session_pieces(m=3)
         transport = _ThreadWatchTcp()
         run_federated_session(clients, server, transport)
-        assert sorted(t.name for t in transport.started) == ["fedspike-tcp-reader"] * 3
+        assert transport.started == set()
+
+    def test_an_undecodable_broadcast_names_its_round_and_client(self):
+        _, clients, server = _session_pieces(m=1)
+        failure = r"round 2: client 'c0' got an undecodable broadcast: malformed"
+        with pytest.raises(SessionError, match=failure):
+            run_federated_session(clients, server, _BroadcastTcp(b"\xffnot a message"))
+
+    def test_a_send_the_server_no_longer_reads_fails_after_the_timeout(self):
+        _, clients, server = _session_pieces(m=2, p=800, r=20)
+        with pytest.raises(SessionError, match=r"round 1: client 'c1''s connection stalled"):
+            run_federated_session(clients, server, _RefusedPrefixTcp(timeout=0.5))
+
+    def test_a_broadcast_that_never_arrives_names_its_round_and_client(self):
+        _, clients, server = _session_pieces(m=1)
+        with pytest.raises(SessionError, match=r"round 2: no broadcast reached client 'c0'"):
+            run_federated_session(clients, server, _BroadcastTcp(None, timeout=0.5))
 
     def test_a_frame_claiming_another_client_is_refused(self):
         _, clients, server = _session_pieces(m=2)
@@ -621,29 +737,44 @@ class TestRoundChecks:
             run_federated_session(clients[:2], server, _InjectingTransport(1, stray))
 
 
+def _cut(sock):
+    """The frames, then the end marker, that the frame cutter makes of what
+    ``sock`` receives until its stream ends."""
+    buf, frames = bytearray(), deque()
+    while _read_frames(sock, buf, frames):
+        pass
+    return list(frames)
+
+
 class TestFraming:
     def test_large_frame_arrives_byte_identical(self):
         payload = bytes(range(256)) * 4099  # ~1 MB, more than one recv's worth
         a, b = socket.socketpair()
+
+        def send():
+            a.sendall(_frame(payload))
+            a.shutdown(socket.SHUT_WR)
+
         with a, b:
             b.settimeout(10.0)
-            sender = threading.Thread(target=_send_frame, args=(a, payload))
+            sender = threading.Thread(target=send)
             sender.start()
-            got = _recv_frame(b)
+            frames = _cut(b)
             sender.join(timeout=10.0)
         assert not sender.is_alive()
-        assert bytes(got) == payload
+        assert len(frames) == 2 and bytes(frames[0]) == payload and frames[1] is None
 
     def test_frame_cut_short_reads_as_closed(self):
         a, b = socket.socketpair()
         with b:
             a.sendall(struct.pack(">I", 10) + b"abc")
             a.close()
-            assert _recv_frame(b) is None
+            assert _cut(b) == [None]
 
     def test_oversized_length_prefix_is_refused(self):
         a, b = socket.socketpair()
         with a, b:
             a.sendall(struct.pack(">I", 2**32 - 1))
-            with pytest.raises(MessageDecodeError, match="frame length 4294967295"):
-                _recv_frame(b)
+            (refusal,) = _cut(b)
+        assert isinstance(refusal, MessageDecodeError)
+        assert "frame length 4294967295" in str(refusal)
