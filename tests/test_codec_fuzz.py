@@ -2,13 +2,15 @@
 
 On any bytes, ``decode`` either raises ``MessageDecodeError`` or returns a
 message that ``encode`` can send again; ``decode(encode(m))`` gives back
-``m`` bit for bit; and ``encode`` spells every matrix entry as ``_fmt_float``
-spells that float.
+``m`` bit for bit; ``encode`` spells every matrix entry as ``_fmt_float``
+spells that float; and its bytes equal those of a frozen copy of the codec's
+earlier per-type body, and of literal encodings with exact entries.
 """
 
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -22,7 +24,7 @@ from fedspike import (
     encode,
     random_orthonormal,
 )
-from fedspike.messages import _fmt_float
+from fedspike.messages import SCHEMA_VERSION, _fmt_float, _fmt_matrix
 
 
 def _decodes_or_refuses(blob: bytes) -> None:
@@ -146,3 +148,92 @@ def test_encode_renders_each_entry_as_fmt_float(lam):
     text = encode(EigenvalueMessage("c0", lam)).decode()
     data = text.split('"data":[', 1)[1].split("]", 1)[0].split(",")
     assert data == [_fmt_float(x) for x in lam.ravel().tolist()]
+
+
+def _frozen_encode(msg) -> bytes:
+    """``encode``'s body when each message type had its own branch, kept
+    verbatim as the byte-level reference for the key spelling and order."""
+    if isinstance(msg, ProjectorMessage):
+        parts = [
+            '"type":"projector"',
+            f'"schema_version":{SCHEMA_VERSION}',
+            f'"round":{msg.round}',
+            f'"client_id":{json.dumps(msg.client_id)}',
+            f'"n":{int(msg.n)}',
+            f'"epsilon":{_fmt_float(msg.epsilon)}',
+            f'"delta":{_fmt_float(msg.delta)}',
+            f'"u_hat":{_fmt_matrix(msg.u_hat)}',
+        ]
+        if msg.warning is not None:
+            parts.append(f'"warning":{json.dumps(msg.warning)}')
+    elif isinstance(msg, BroadcastMessage):
+        parts = [
+            '"type":"broadcast"',
+            f'"schema_version":{SCHEMA_VERSION}',
+            f'"round":{msg.round}',
+            f'"u_hat_global":{_fmt_matrix(msg.u_hat_global)}',
+        ]
+    else:
+        parts = [
+            '"type":"eigenvalues"',
+            f'"schema_version":{SCHEMA_VERSION}',
+            f'"round":{msg.round}',
+            f'"client_id":{json.dumps(msg.client_id)}',
+            f'"lambda_hat":{_fmt_matrix(msg.lambda_hat)}',
+        ]
+    return ("{" + ",".join(parts) + "}").encode("utf-8")
+
+
+@settings(max_examples=300)
+@given(_messages)
+def test_encode_matches_the_frozen_body(msg):
+    assert encode(msg) == _frozen_encode(msg)
+
+
+def _with_negative_zero(a, at):
+    """``a`` with the zero at ``at`` turned into -0.0."""
+    a = np.array(a, dtype=float)
+    a[at] = -0.0
+    return a
+
+
+# Exact entries only (columns of np.eye, 1/3, signed zeros), so the bytes do
+# not depend on the BLAS build. Keys, their order and their spelling are the
+# wire format; the optional warning is left out when it is None.
+_LITERALS = [
+    (
+        ProjectorMessage(
+            "c0", _with_negative_zero(np.eye(3)[:, :2], (2, 0)), 120, 0.5, 0.1,
+            warning='gap "small" \u2013 \u03c8',
+        ),
+        b'{"type":"projector","schema_version":1,"round":1,"client_id":"c0","n":120,'
+        b'"epsilon":0.5,"delta":0.10000000000000001,'
+        b'"u_hat":{"rows":3,"cols":2,"data":[1,0,0,1,-0.0,0]},'
+        b'"warning":"gap \\"small\\" \\u2013 \\u03c8"}',
+    ),
+    (
+        ProjectorMessage("c0", np.eye(2), 7, 2.0, 0.5),
+        b'{"type":"projector","schema_version":1,"round":1,"client_id":"c0","n":7,'
+        b'"epsilon":2,"delta":0.5,"u_hat":{"rows":2,"cols":2,"data":[1,0,0,1]}}',
+    ),
+    (
+        BroadcastMessage(_with_negative_zero(np.eye(2)[:, :1], (1, 0))),
+        b'{"type":"broadcast","schema_version":1,"round":2,'
+        b'"u_hat_global":{"rows":2,"cols":1,"data":[1,-0.0]}}',
+    ),
+    (
+        EigenvalueMessage("c1", np.array([[1 / 3, -0.0], [-0.0, 0.0]])),
+        b'{"type":"eigenvalues","schema_version":1,"round":2,"client_id":"c1",'
+        b'"lambda_hat":{"rows":2,"cols":2,"data":[0.33333333333333331,-0.0,-0.0,0]}}',
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "msg, blob", _LITERALS, ids=["projector", "projector-no-warning", "broadcast", "eigenvalues"]
+)
+def test_literal_bytes(msg, blob):
+    assert encode(msg) == blob
+    back = decode(blob)
+    assert type(back) is type(msg)
+    assert _fields(back) == _fields(msg)

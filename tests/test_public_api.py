@@ -1,10 +1,12 @@
-"""Every public name has a caller in the package itself.
+"""Every module-level definition has a reader in the package itself.
 
-A name that ``fedspike/__init__.py`` exports must be used in the code of
-some other module of ``src/fedspike``: read as a name or as an attribute,
-according to ``ast``. A mention in a docstring, a comment or ``__all__``
-does not count, so a function or option that only the tests reach does not
-come back.
+Each function, class and assignment at the top level of a module of
+``src/fedspike``, private or public, must be used in the package's code:
+read as a name or as an attribute, according to ``ast``, in a module other
+than ``__init__.py``. A mention in a docstring, a comment, ``__all__`` or
+an import in ``__init__.py`` does not count, so a function or option that
+only the tests reach does not come back, and a helper a refactor leaves
+behind does not stay.
 """
 
 import ast
@@ -12,7 +14,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fedspike"
 
-# Exported names with no caller in the package, each with the reason it stays.
+# Definitions with no reader in the package, each with the reason it stays.
 KNOWN_UNCALLED = {
     "using_numba": "read by the perfbench environment block",
     "cov_weights": "named in perfbench/tracer.py LAYERS",
@@ -32,6 +34,20 @@ def _exported_names() -> list[str]:
     ]
 
 
+def _defined_names() -> list[str]:
+    """Every function, class and assigned name at the top level of a module,
+    dunder names such as ``__all__`` and ``__version__`` aside."""
+    names = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names += [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
 def _used_names() -> set[str]:
     """Every name that the code of a module other than ``__init__.py`` reads."""
     used = set()
@@ -46,10 +62,15 @@ def _used_names() -> set[str]:
     return used
 
 
-def test_every_public_name_has_a_caller_in_the_package():
+def test_every_module_level_definition_has_a_reader_in_the_package():
     used = _used_names()
-    uncalled = [n for n in _exported_names() if n not in KNOWN_UNCALLED and n not in used]
-    assert not uncalled, f"public names that no code in src/fedspike uses: {uncalled}"
+    unread = [n for n in _defined_names() if n not in KNOWN_UNCALLED and n not in used]
+    assert not unread, f"definitions that no code in src/fedspike reads: {unread}"
+
+
+def test_every_exported_name_is_defined_at_module_level():
+    # So the check above covers the whole public API.
+    assert set(_exported_names()) <= set(_defined_names())
 
 
 def test_the_known_exceptions_are_still_exported_and_still_uncalled():
