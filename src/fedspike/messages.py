@@ -1,9 +1,10 @@
 """Message payloads and their canonical wire encoding.
 
-Each message is a UTF-8 JSON object with a ``type`` tag, a
-``schema_version`` that is always ``SCHEMA_VERSION``, scalars as JSON
-numbers, and matrices as ``{"rows": .., "cols": .., "data": [..]}`` holding
-row-major doubles.
+Each message is a UTF-8 JSON object: a ``type`` tag, ``schema_version``
+(always ``SCHEMA_VERSION``) and ``round``, then the fields that ``_WIRE`` lists
+for its type, in that order, leaving out a field that is None; ``_WIRE`` is
+the layout that README's "Wire format" lists. Scalars are JSON numbers and
+matrices ``{"rows": .., "cols": .., "data": [..]}`` of row-major doubles.
 Floats are rendered with 17 significant digits, which is enough for JSON
 parsing to reproduce every IEEE-754 double bit-exactly.
 """
@@ -17,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 SCHEMA_VERSION = 1
+# The sender id of the server's broadcast, which no client may take.
+_SERVER_ID = "server"
 _ORTHO_TOL = 1e-8
 _SYM_TOL = 1e-8
 
@@ -51,8 +54,8 @@ def _check_orthonormal(u: np.ndarray, name: str) -> None:
 def _check_client_id(cid: str) -> None:
     if not isinstance(cid, str) or not cid:
         raise MessageError("client_id must be a non-empty string")
-    if cid == "server":
-        raise MessageError("client_id 'server' is reserved")
+    if cid == _SERVER_ID:
+        raise MessageError(f"client_id {_SERVER_ID!r} is reserved")
     if any(ch in cid for ch in "/\\\0"):
         raise MessageError("client_id must not contain path separators")
 
@@ -138,48 +141,6 @@ def _fmt_matrix(a: np.ndarray) -> str:
     return f'{{"rows":{rows},"cols":{cols},"data":[{data}]}}'
 
 
-def encode(msg) -> bytes:
-    """Canonical JSON encoding of a message."""
-    if isinstance(msg, ProjectorMessage):
-        parts = [
-            '"type":"projector"',
-            f'"schema_version":{SCHEMA_VERSION}',
-            f'"round":{msg.round}',
-            f'"client_id":{json.dumps(msg.client_id)}',
-            f'"n":{int(msg.n)}',
-            f'"epsilon":{_fmt_float(msg.epsilon)}',
-            f'"delta":{_fmt_float(msg.delta)}',
-            f'"u_hat":{_fmt_matrix(msg.u_hat)}',
-        ]
-        if msg.warning is not None:
-            parts.append(f'"warning":{json.dumps(msg.warning)}')
-    elif isinstance(msg, BroadcastMessage):
-        parts = [
-            '"type":"broadcast"',
-            f'"schema_version":{SCHEMA_VERSION}',
-            f'"round":{msg.round}',
-            f'"u_hat_global":{_fmt_matrix(msg.u_hat_global)}',
-        ]
-    elif isinstance(msg, EigenvalueMessage):
-        parts = [
-            '"type":"eigenvalues"',
-            f'"schema_version":{SCHEMA_VERSION}',
-            f'"round":{msg.round}',
-            f'"client_id":{json.dumps(msg.client_id)}',
-            f'"lambda_hat":{_fmt_matrix(msg.lambda_hat)}',
-        ]
-    else:
-        raise MessageError(f"cannot encode object of type {type(msg).__name__}")
-    return ("{" + ",".join(parts) + "}").encode("utf-8")
-
-
-_TYPES = {
-    "projector": ProjectorMessage,
-    "broadcast": BroadcastMessage,
-    "eigenvalues": EigenvalueMessage,
-}
-
-
 def _take(obj: dict, key: str):
     if key not in obj:
         raise MessageDecodeError(f"missing field {key!r}")
@@ -207,10 +168,10 @@ def _finite(obj: dict, key: str) -> float:
     return value
 
 
-def _warning(obj: dict) -> str | None:
-    raw = obj.get("warning")
-    if "warning" in obj and not isinstance(raw, str):
-        raise MessageDecodeError(f"field 'warning' must be a string, not {type(raw).__name__}")
+def _optional_text(obj: dict, key: str) -> str | None:
+    raw = obj.get(key)
+    if key in obj and not isinstance(raw, str):
+        raise MessageDecodeError(f"field {key!r} must be a string, not {type(raw).__name__}")
     return raw
 
 
@@ -233,6 +194,36 @@ def _parse_matrix(obj: dict, key: str) -> np.ndarray:
         return np.array(data, dtype=float).reshape(rows, cols)
     except OverflowError as exc:
         raise MessageDecodeError(f"field {key!r} holds malformed matrix data: {exc}") from exc
+
+
+# Field kinds, each a (render the value, parse field ``key`` of ``obj``) pair.
+_TEXT = (json.dumps, _take)
+_OPTIONAL_TEXT = (json.dumps, _optional_text)
+_INTEGER = (lambda v: str(int(v)), lambda obj, key: _integer(_take(obj, key), f"field {key!r}"))
+_FINITE = (_fmt_float, _finite)
+_MATRIX = (_fmt_matrix, _parse_matrix)
+
+# The wire layout: each message class, its type tag, and its fields in wire order.
+_WIRE = {
+    ProjectorMessage: ("projector", {"client_id": _TEXT, "n": _INTEGER, "epsilon": _FINITE,
+                                     "delta": _FINITE, "u_hat": _MATRIX,
+                                     "warning": _OPTIONAL_TEXT}),
+    BroadcastMessage: ("broadcast", {"u_hat_global": _MATRIX}),
+    EigenvalueMessage: ("eigenvalues", {"client_id": _TEXT, "lambda_hat": _MATRIX}),
+}
+
+
+def encode(msg) -> bytes:
+    """Canonical JSON encoding of a message, laid out as ``_WIRE`` says."""
+    if type(msg) not in _WIRE:
+        raise MessageError(f"cannot encode object of type {type(msg).__name__}")
+    tag, fields = _WIRE[type(msg)]
+    parts = [f'"type":"{tag}"', f'"schema_version":{SCHEMA_VERSION}', f'"round":{msg.round}']
+    for name, (render, _) in fields.items():
+        value = getattr(msg, name)
+        if value is not None:
+            parts.append(f'"{name}":{render(value)}')
+    return ("{" + ",".join(parts) + "}").encode("utf-8")
 
 
 def decode(blob: bytes):
@@ -258,7 +249,7 @@ def decode(blob: bytes):
         raise MessageDecodeError(
             f"schema_version mismatch: got {version!r}, expected {SCHEMA_VERSION}"
         )
-    cls = _TYPES.get(kind) if isinstance(kind, str) else None
+    cls, fields = next(((c, f) for c, (tag, f) in _WIRE.items() if tag == kind), (None, None))
     if cls is None:
         raise MessageDecodeError(f"unknown message type {kind!r}")
     got = _take(obj, "round")
@@ -266,25 +257,8 @@ def decode(blob: bytes):
         raise MessageDecodeError(
             f"field 'round' of a {kind} message must be {cls.round}, got {got!r}"
         )
+    values = {name: parse(obj, name) for name, (_, parse) in fields.items()}
     try:
-        if kind == "projector":
-            return ProjectorMessage(
-                client_id=_take(obj, "client_id"),
-                u_hat=_parse_matrix(obj, "u_hat"),
-                n=_integer(_take(obj, "n"), "field 'n'"),
-                epsilon=_finite(obj, "epsilon"),
-                delta=_finite(obj, "delta"),
-                warning=_warning(obj),
-            )
-        if kind == "broadcast":
-            return BroadcastMessage(u_hat_global=_parse_matrix(obj, "u_hat_global"))
-        return EigenvalueMessage(
-            client_id=_take(obj, "client_id"),
-            lambda_hat=_parse_matrix(obj, "lambda_hat"),
-        )
-    except MessageDecodeError:
-        raise
-    except MessageError as exc:
-        raise MessageDecodeError(f"invalid {kind} payload: {exc}") from exc
-    except (TypeError, ValueError) as exc:
+        return cls(**values)
+    except (TypeError, ValueError) as exc:  # the constructor's, a MessageError among them
         raise MessageDecodeError(f"invalid {kind} payload: {exc}") from exc

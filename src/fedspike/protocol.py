@@ -27,6 +27,7 @@ import numpy as np
 
 from .client import ClientConfig, local_private_eigenvalues, local_private_projector
 from .messages import (
+    _SERVER_ID,
     BroadcastMessage,
     EigenvalueMessage,
     MessageDecodeError,
@@ -128,13 +129,8 @@ class SessionResult:
 # Transports
 # ---------------------------------------------------------------------------
 
-_SERVER_ID = "server"
-
-
 class InProcessTransport:
     """Message objects handed over directly; the reference backend."""
-
-    name = "inproc"
 
     def open(self) -> None:
         self._uplink: list = []
@@ -152,7 +148,7 @@ class InProcessTransport:
 
     def receive_at_client(self, client_id: str) -> BroadcastMessage:
         if self._broadcast is None:
-            raise SessionError(f"no broadcast available for client {client_id}")
+            raise SessionError(f"round 2: no broadcast available for client {client_id!r}")
         return self._broadcast
 
     def close(self) -> None:
@@ -172,7 +168,10 @@ def _decode_or_fail(payload, failure: str):
 def _as_broadcast(payload, client_id: str) -> BroadcastMessage:
     msg = _decode_or_fail(payload, f"round 2: client {client_id!r} got an undecodable broadcast")
     if not isinstance(msg, BroadcastMessage):
-        raise SessionError("unexpected message type on the broadcast channel")
+        raise SessionError(
+            f"round 2: client {client_id!r} got {type(msg).__name__} on the broadcast channel; "
+            "field 'type' must be BroadcastMessage"
+        )
     return msg
 
 
@@ -182,8 +181,6 @@ class FileTransport:
     before its file is opened, and written under a ``.part`` name that is
     then renamed, so a failed send leaves no ``.msg`` file and a reader never
     sees part of one."""
-
-    name = "file"
 
     def __init__(self, session_dir):
         self.session_dir = str(session_dir)
@@ -227,7 +224,7 @@ class FileTransport:
     def receive_at_client(self, client_id: str) -> BroadcastMessage:
         path = self._path(2, _SERVER_ID)
         if not os.path.exists(path):
-            raise SessionError(f"no broadcast file for client {client_id}")
+            raise SessionError(f"round 2: no broadcast file for client {client_id!r}")
         with open(path, "rb") as fh:
             return _as_broadcast(fh.read(), client_id)
 
@@ -241,8 +238,10 @@ _MAX_FRAME = 1 << 28
 
 def _read_frames(sock: socket.socket, buf: bytearray, frames: deque) -> bool:
     """Read what ``sock`` holds into ``buf``, moving each whole frame to
-    ``frames``. False once the stream has ended: ``frames`` then ends with None
-    (a frame cut short is dropped) or with the refusal of an oversized prefix."""
+    ``frames``; False once the stream has ended, and ``frames`` then ends with
+    None (a frame cut short is dropped). An oversized prefix is refused in
+    ``frames`` and stays in ``buf``; what follows it is read and dropped, so
+    its sender does not stall."""
     try:
         data = sock.recv(1 << 18)
     except OSError:  # reset by the peer
@@ -250,12 +249,15 @@ def _read_frames(sock: socket.socket, buf: bytearray, frames: deque) -> bool:
     if not data:
         frames.append(None)
         return False
+    if len(buf) >= 4 and struct.unpack_from(">I", buf)[0] > _MAX_FRAME:
+        return True
     buf += data
     while len(buf) >= 4:
         (length,) = struct.unpack_from(">I", buf)
         if length > _MAX_FRAME:
             frames.append(MessageDecodeError(f"frame length {length} exceeds {_MAX_FRAME} bytes"))
-            return False
+            del buf[4:]
+            return True
         if len(buf) < 4 + length:
             break
         frames.append(buf[4 : 4 + length])
@@ -285,8 +287,6 @@ class TcpTransport:
     connection ends no round early. Failing both, the round waits for
     ``timeout``. Frames not decoded when a round ends stay for the next one.
     """
-
-    name = "tcp"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, timeout: float = 10.0):
         self.host = host
@@ -412,7 +412,7 @@ class TcpTransport:
         self._pump(lambda: frames, f"round 2: no broadcast reached client {client_id!r}")
         payload = frames.popleft()
         if payload is None:
-            raise SessionError(f"connection closed before broadcast reached {client_id}")
+            raise SessionError(f"round 2: connection closed before broadcast reached {client_id!r}")
         return _as_broadcast(payload, client_id)
 
     def close(self) -> None:

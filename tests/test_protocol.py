@@ -305,6 +305,21 @@ def _shrink_buffers(sock):
         sock.setsockopt(socket.SOL_SOCKET, option, 16384)
 
 
+class _NoBroadcast:
+    """Transport mixin whose server sends no broadcast."""
+
+    def broadcast_from_server(self, msg, client_ids):
+        pass
+
+
+class _NoBroadcastInProcess(_NoBroadcast, InProcessTransport):
+    pass
+
+
+class _NoBroadcastFile(_NoBroadcast, FileTransport):
+    pass
+
+
 class _SmallBufferTcp(TcpTransport):
     """TCP transport whose sockets buffer only 16 kB each way (a few kB
     would stall each send for the kernel's 0.2-s persist timer); accepted
@@ -429,6 +444,22 @@ class TestSession:
         _, clients, server = _session_pieces(m=2)
         with pytest.raises(SessionError, match=failure):
             run_federated_session(clients, server, _GarbledFile(garbled, tmp_path / "s6"))
+
+    @pytest.mark.parametrize(
+        "backend, failure",
+        [
+            ("inproc", "round 2: no broadcast available for client 'c0'"),
+            ("file", "round 2: no broadcast file for client 'c0'"),
+        ],
+        ids=["inproc", "file"],
+    )
+    def test_a_missing_broadcast_names_round_2_and_the_client(self, backend, failure, tmp_path):
+        _, clients, server = _session_pieces(m=2)
+        transport = (
+            _NoBroadcastInProcess() if backend == "inproc" else _NoBroadcastFile(tmp_path / "s7")
+        )
+        with pytest.raises(SessionError, match=failure):
+            run_federated_session(clients, server, transport)
 
     def test_frames_larger_than_the_socket_buffers_go_through(self):
         _, clients, server = _session_pieces(m=2, p=800, r=20)
@@ -587,9 +618,17 @@ class _BroadcastTcp(TcpTransport):
             self._server_conns["c0"].sendall(_frame(self.frame))
 
 
+class _HangUpTcp(TcpTransport):
+    """TCP transport whose server closes its end of client c0's connection in
+    place of the broadcast."""
+
+    def broadcast_from_server(self, msg, client_ids):
+        self._server_conns["c0"].close()
+
+
 class _RefusedPrefixTcp(_SmallBufferTcp):
-    """Client c1 opens its stream with an oversized length prefix, so the
-    server stops reading its connection."""
+    """Client c1 opens its stream with an oversized length prefix, then sends
+    its round-1 frame, more than its connection can buffer."""
 
     def send_from_client(self, client_id, msg):
         if (client_id, msg.round) == ("c1", 1):
@@ -667,10 +706,34 @@ class TestTcpFailures:
         with pytest.raises(SessionError, match=failure):
             run_federated_session(clients, server, _BroadcastTcp(b"\xffnot a message"))
 
-    def test_a_send_the_server_no_longer_reads_fails_after_the_timeout(self):
+    def test_a_refused_length_prefix_fails_the_round_at_once(self):
+        # The server drops what follows the refused prefix, so c1's send does
+        # not stall, and the round fails on the framing error, not the timeout.
         _, clients, server = _session_pieces(m=2, p=800, r=20)
-        with pytest.raises(SessionError, match=r"round 1: client 'c1''s connection stalled"):
-            run_federated_session(clients, server, _RefusedPrefixTcp(timeout=0.5))
+        failure = (
+            r"round 1: a client not yet identified sent an undecodable frame: "
+            r"frame length 4294967295 exceeds"
+        )
+        t0 = time.monotonic()
+        with pytest.raises(SessionError, match=failure):
+            run_federated_session(clients, server, _RefusedPrefixTcp(timeout=10.0))
+        assert time.monotonic() - t0 < 2.0
+
+    def test_a_broadcast_of_the_wrong_type_names_round_2_and_the_client(self):
+        _, clients, server = _session_pieces(m=1)
+        transport = _BroadcastTcp(encode(EigenvalueMessage("c0", np.eye(1))))
+        failure = (
+            r"round 2: client 'c0' got EigenvalueMessage on the broadcast channel; "
+            r"field 'type' must be BroadcastMessage"
+        )
+        with pytest.raises(SessionError, match=failure):
+            run_federated_session(clients, server, transport)
+
+    def test_a_connection_closed_before_the_broadcast_names_round_2_and_the_client(self):
+        _, clients, server = _session_pieces(m=2)
+        failure = r"round 2: connection closed before broadcast reached 'c0'"
+        with pytest.raises(SessionError, match=failure):
+            run_federated_session(clients, server, _HangUpTcp(timeout=10.0))
 
     def test_a_broadcast_that_never_arrives_names_its_round_and_client(self):
         _, clients, server = _session_pieces(m=1)
@@ -772,9 +835,11 @@ class TestFraming:
             assert _cut(b) == [None]
 
     def test_oversized_length_prefix_is_refused(self):
+        # What follows the refused prefix, a whole frame here, is dropped.
         a, b = socket.socketpair()
-        with a, b:
-            a.sendall(struct.pack(">I", 2**32 - 1))
-            (refusal,) = _cut(b)
-        assert isinstance(refusal, MessageDecodeError)
+        with b:
+            a.sendall(struct.pack(">I", 2**32 - 1) + _frame(b"dropped"))
+            a.close()
+            refusal, end = _cut(b)
+        assert isinstance(refusal, MessageDecodeError) and end is None
         assert "frame length 4294967295" in str(refusal)
