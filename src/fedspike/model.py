@@ -16,6 +16,11 @@ import numpy as np
 from .rng import rng_from
 
 ORTHONORMAL_TOL = 1e-10
+# Columns of a draw that ``sample`` finishes at once: its temporaries are
+# p x 1024 (0.4 MB at p = 50), small against the p x n dataset it fills.
+# A multiple of 8, so every block but the last has no column tail in
+# OpenBLAS's GEMM kernels.
+_FINISH_COLUMNS = 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,11 +171,15 @@ def sample(
     (g, z) that ``fill_normals(seed, g, z)`` has already filled, for a
     caller that ran the fill elsewhere (``run_scenario`` runs it on a helper
     thread); by default the fill runs here. The isotropic draw is scaled
-    and summed in place, into ``z``; IEEE products and sums commute, so this
-    is bit-identical to ``U (scale g) + sqrt(noise_var) z`` and allocates
-    two p x n temporaries fewer. ``z`` then becomes the dataset's read-only
-    samples without a copy, so a caller that passes ``normals`` must not
-    keep it for other use.
+    in place, into ``z``, and the spike part is added to it one block of
+    columns at a time, each block checked for non-finite entries once
+    summed, so no p x n temporary is held. IEEE products and sums commute,
+    so with r = 1 (one product per entry) this is bit-identical to
+    ``U (scale g) + sqrt(noise_var) z``. With r > 1 it is too wherever
+    OpenBLAS sums a block as it sums the whole product; README,
+    "Reproducibility", names the columns where it does not. ``z`` then
+    becomes the dataset's read-only samples without a copy, so a caller
+    that passes ``normals`` must not keep it for other use.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -183,8 +192,13 @@ def sample(
         raise ValueError(f"normals must have shapes {shapes}, got {(g.shape, z.shape)}")
     scale = np.sqrt(model.spike_eigenvalues)[:, None]
     z *= np.sqrt(model.noise_var)
-    z += model.basis_u @ (scale * g)
-    _check_finite(z)
+    # No block stops one column before the end: a one-column block would go
+    # through matrix-vector code, which sums r > 1 terms in another order.
+    stops = [*range(_FINISH_COLUMNS, n - 1, _FINISH_COLUMNS), n]
+    for c0, c1 in zip([0, *stops], stops):
+        block = z[:, c0:c1]
+        block += model.basis_u @ (scale * g[:, c0:c1])
+        _check_finite(block)
     return Dataset._adopt(z, client_id)
 
 

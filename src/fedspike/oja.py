@@ -108,12 +108,16 @@ def _run_group(
     rngs = [rng_from(seed, "oja-noise", j) for j in members]
     v = np.stack([random_orthonormal(p, r, derive_seed(seed, "oja-init", j)) for j in members])
     xs = np.empty((_BLOCK, len(group), p))
+    # Client-major, so each client's draw fills one contiguous run.
+    normals = np.empty((len(group), _BLOCK, p, r))
     for s0 in range(0, n, _BLOCK):
         s1 = min(s0 + _BLOCK, n)
         block = xs[: s1 - s0]
         for b, data in enumerate(group):
             block[:, b] = data.samples[:, s0:s1].T
-        noise = np.stack([g.standard_normal((s1 - s0, p, r)) for g in rngs], axis=1)
+        for b, g in enumerate(rngs):
+            g.standard_normal(out=normals[b, : s1 - s0])
+        noise = normals[:, : s1 - s0].transpose(1, 0, 2, 3)
         try:
             v = oja_stream(block, v, s0, clip_norm, noise_std, noise)
         except LinAlgError as exc:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from conftest import make_model, projector_gap, save_dataset_csv
@@ -11,7 +13,31 @@ from fedspike import (
     random_orthonormal,
     sample,
 )
-from fedspike.model import fill_normals
+from fedspike.model import _FINISH_COLUMNS, _check_finite, fill_normals
+from fedspike.rng import rng_from
+
+W = _FINISH_COLUMNS
+
+
+def _frozen_sample(model, n, seed, normals=None):
+    """sample's body before it finished the draw in column blocks, kept
+    verbatim as the bit-level reference; returns the samples."""
+    shapes = ((model.rank_r, n), (model.dim_p, n))
+    if normals is None:
+        normals = (np.empty(shapes[0]), np.empty(shapes[1]))
+        fill_normals(seed, *normals)
+    g, z = normals
+    scale = np.sqrt(model.spike_eigenvalues)[:, None]
+    z *= np.sqrt(model.noise_var)
+    z += model.basis_u @ (scale * g)
+    _check_finite(z)
+    return z
+
+
+def _other_normals(r, p, n, seed):
+    """Normals from a stream that ``sample`` does not use for ``seed``."""
+    rng = rng_from(seed, "not-the-sample-stream")
+    return rng.standard_normal((r, n)), rng.standard_normal((p, n))
 
 
 class TestRandomOrthonormal:
@@ -142,6 +168,43 @@ class TestSample:
         with pytest.raises(ValueError):
             sample(model, 0, 1)
 
+    @pytest.mark.parametrize("p", [8, 50, 251])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_bits_match_the_frozen_body(self, r, p):
+        model = make_model(p, r, np.linspace(9.0, 4.0, r), 1.7, 100 * p + r)
+        for n in (1, W - 1, W, W + 1, 2 * W + 1, 10_000, 10_007):
+            seed = 31 * n + p
+            pairs = [(sample(model, n, seed).samples, _frozen_sample(model, n, seed))]
+            given = sample(model, n, seed, normals=_other_normals(r, p, n, seed)).samples
+            pairs.append((given, _frozen_sample(model, n, seed, _other_normals(r, p, n, seed))))
+            for got, want in pairs:
+                # r = 1 is one product per entry, and up to W + 1 columns are
+                # one block, the frozen body's own product: the same bits.
+                if r == 1 or n <= W + 1:
+                    assert np.array_equal(got, want), n
+                    continue
+                # With r > 1, OpenBLAS sums the last n mod 8 columns of a
+                # product whose n * p * r exceeds 10^6 in another order than
+                # the rest (and differently at one and at two threads), so
+                # those columns may move by a few ulp; the rest are the same bits.
+                body = n - n % 8
+                assert np.array_equal(got[:, :body], want[:, :body]), n
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-14, err_msg=str(n))
+
+    @pytest.mark.parametrize("r", [1, 5])
+    def test_holds_no_p_by_n_temporary(self, r):
+        p, n = 50, 10_000
+        model = make_model(p, r, np.linspace(9.0, 4.0, r), 1.0, 3)
+        normals = (np.empty((r, n)), np.empty((p, n)))
+        fill_normals(5, *normals)
+        tracemalloc.start()
+        try:
+            sample(model, n, 5, normals=normals)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < p * n * 8 / 4, f"sample peaked at {peak} bytes"
+
 
 class TestProjectionDistance:
     def test_identity_case(self):
@@ -197,6 +260,15 @@ class TestDataset:
         z[2, 4] = np.nan
         with pytest.raises(ValueError, match="dataset contains non-finite entries"):
             sample(model, 5, 0, normals=(g, z))
+
+    @pytest.mark.parametrize("which", ["g", "z"])
+    def test_sample_rejects_non_finite_normals_in_the_last_block(self, which):
+        p, r, n = 4, 2, 2 * W + 5
+        model = make_model(p, r, [5.0, 3.0], 1.0, 0)
+        g, z = np.zeros((r, n)), np.zeros((p, n))
+        (g if which == "g" else z)[-1, n - 2] = np.inf
+        with pytest.raises(ValueError, match="dataset contains non-finite entries"):
+            sample(model, n, 0, normals=(g, z))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):

@@ -19,8 +19,10 @@ from fedspike import (
     sample,
 )
 from fedspike.client import local_raw_noisy_projector
+from fedspike.experiments import client_layout, default_spec
 from fedspike.messages import EigenvalueMessage, ProjectorMessage
 from fedspike.rates import RateInputs, pca_bound, psi0_tilde
+from fedspike.rng import derive_seed
 from fedspike.server import SCHEMES, weights_from_rate_inputs
 
 SHARED = dict(p=50, r=1, lam=10.0, sigma2=1.0)
@@ -147,6 +149,54 @@ class TestHarmonicMean:
             assert np.sum(other**2 * psi_sq) >= harmonic * (1.0 - 1e-12)
         cap = 2.0 * clients[0].r
         assert pca_bound(clients) == pytest.approx(min(harmonic, cap), rel=1e-12)
+
+
+class TestInverseSquareOptimum:
+    """The abstract's first claim as a measurement: over the heterogeneous
+    layout, the error of the projector average with w proportional to
+    psi0_tilde^-k is smallest near the shipped k = 2. The margins (k = 2
+    within 5% of the best k, and at least 10% below k = 0 and k = 8) were
+    fixed before the first run, at seeds that no other check uses."""
+
+    POWERS = (0, 1, 2, 3, 4, 8)
+    REPS = 20
+
+    @pytest.mark.parametrize("n_grid", [100, 300])
+    def test_inverse_square_weights_sit_at_the_empirical_optimum(self, n_grid):
+        seed = 63001
+        spec = default_spec("heterogeneous", base_seed=seed, n_sample_grid=(n_grid,))
+        p, r = spec.p, spec.r
+        sq_err = np.zeros(len(self.POWERS))
+        for rep in range(self.REPS):
+            model = make_model(p, r, spec.lam, spec.sigma2, derive_seed(seed, "model", rep))
+            layout = client_layout(spec, n_grid, 0, rep)
+            # Round 1 once per client; only the server's weights change with k.
+            msgs = [
+                local_private_projector(
+                    sample(model, n, derive_seed(seed, "data", rep, j)),
+                    ClientConfig(
+                        f"c{j:03d}",
+                        PrivacyBudget(eps, delta),
+                        r,
+                        spec.lam,
+                        spec.sigma2,
+                        derive_seed(seed, "dp", rep, j),
+                    ),
+                )
+                for j, (n, eps, delta) in enumerate(layout)
+            ]
+            rates = [RateInputs(n, e, d, p, r, spec.lam, spec.sigma2) for n, e, d in layout]
+            psi = np.array([psi0_tilde(c) for c in rates])
+            shipped = weights_from_rate_inputs(rates).pca_w
+            np.testing.assert_allclose(shipped, psi**-2 / np.sum(psi**-2), rtol=1e-12)
+            for i, k in enumerate(self.POWERS):
+                w = psi**-k / np.sum(psi**-k)
+                u_hat = aggregate_projectors(msgs, AggregationWeights(w, w, "optimal"))
+                sq_err[i] += projection_distance(u_hat, model.basis_u) ** 2
+        mse = dict(zip(self.POWERS, sq_err / self.REPS))
+        shown = ", ".join(f"k={k}: {e:.4g}" for k, e in mse.items())
+        assert mse[2] <= 1.05 * min(mse.values()), shown
+        assert mse[2] <= 0.9 * mse[0] and mse[2] <= 0.9 * mse[8], shown
 
 
 class TestAggregateProjectors:
