@@ -6,6 +6,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import os
 import sys
 
 from .experiments import (
@@ -14,9 +15,12 @@ from .experiments import (
     RealdataSpec,
     default_spec,
     mean_errors,
+    plot_from_csv,
     run_realdata,
     run_scenario,
+    write_records_csv,
 )
+from .model import load_dataset_csv
 from .rates import RateInputs, rate_table
 
 
@@ -79,13 +83,20 @@ def _cmd_simulate(args) -> int:
     if args.methods:
         overrides["methods"] = args.methods
     # listify JSON arrays into tuples for the frozen spec
-    for key, value in list(overrides.items()):
-        if isinstance(value, list):
-            overrides[key] = tuple(value)
-    spec = default_spec(args.scenario, **overrides)
-    result = run_scenario(spec, out_dir=args.out, write_svg=not args.no_svg)
-    means = mean_errors(result.records)
-    print(f"wrote {result.csv_path}" + (f" and {result.svg_path}" if result.svg_path else ""))
+    overrides = {k: tuple(v) if isinstance(v, list) else v for k, v in overrides.items()}
+    try:
+        spec = default_spec(args.scenario, **overrides)
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"simulate config: {exc}")
+    records = run_scenario(spec).records
+    os.makedirs(args.out, exist_ok=True)
+    stem = os.path.join(args.out, spec.scenario)
+    csv_path, svg_path = f"{stem}.csv", f"{stem}.svg"
+    write_records_csv(records, csv_path)
+    if not args.no_svg:
+        plot_from_csv(csv_path, svg_path)  # rendered from the CSV alone
+    print(f"wrote {csv_path}" + ("" if args.no_svg else f" and {svg_path}"))
+    means = mean_errors(records)
     for (method, sv), err in sorted(means.items()):
         print(f"{method:10s} sweep={sv:<10g} mean projection error = {err:.6f}")
     if args.sensitivity_check:
@@ -116,19 +127,21 @@ def _print_sensitivity_check(spec) -> None:
 
 
 def _cmd_realdata(args) -> int:
-    spec = RealdataSpec(
-        client_sizes=args.clients,
-        rank_r=args.rank,
-        epsilon=args.eps,
-        delta=args.delta,
-        seed=args.seed,
-        top_k=args.top_k,
-        tail_range=args.tail,
-        subtract_sigma=not args.no_sigma_subtract,
-        methods=args.methods,
-        header=args.header,
-    )
-    report = run_realdata(args.input, spec)
+    try:
+        spec = RealdataSpec(
+            client_sizes=args.clients,
+            rank_r=args.rank,
+            epsilon=args.eps,
+            delta=args.delta,
+            seed=args.seed,
+            top_k=args.top_k,
+            tail_range=args.tail,
+            subtract_sigma=not args.no_sigma_subtract,
+            methods=args.methods,
+        )
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"realdata: {exc}")
+    report = run_realdata(load_dataset_csv(args.input, header=args.header).samples, spec)
     for row in report:
         print(f"{row['method']:10s} explained variance = {row['explained_variance']:.6f}")
     if args.out:
@@ -143,15 +156,17 @@ def _cmd_realdata(args) -> int:
 def _cmd_rates(args) -> int:
     with open(args.config, encoding="utf-8") as fh:
         cfg = json.load(fh)
+    where = "rate config"
     try:
-        p, r = int(cfg["p"]), int(cfg["r"])
-        lam, sigma2 = float(cfg["lambda"]), float(cfg["sigma2"])
-        clients = [
-            RateInputs(int(c["n"]), float(c["epsilon"]), float(c["delta"]), p, r, lam, sigma2)
-            for c in cfg["clients"]
-        ]
-    except (KeyError, TypeError) as exc:
-        raise SystemExit(f"rate config is missing a required field: {exc}")
+        shared = (int(cfg["p"]), int(cfg["r"]), float(cfg["lambda"]), float(cfg["sigma2"]))
+        clients = []
+        for j, c in enumerate(cfg["clients"]):
+            where = f"rate config client {j}"
+            clients.append(RateInputs(int(c["n"]), float(c["epsilon"]), float(c["delta"]), *shared))
+    except KeyError as exc:
+        raise SystemExit(f"{where} is missing a required field: {exc}")
+    except (ValueError, TypeError) as exc:
+        raise SystemExit(f"{where}: {exc}")
     rows = rate_table(clients)
     writer = csv.DictWriter(sys.stdout, fieldnames=list(rows[0].keys()))
     writer.writeheader()
@@ -169,11 +184,8 @@ def main(argv=None) -> int:
     _add_realdata(sub)
     _add_rates(sub)
     args = parser.parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "realdata":
-        return _cmd_realdata(args)
-    return _cmd_rates(args)
+    commands = {"simulate": _cmd_simulate, "realdata": _cmd_realdata, "rates": _cmd_rates}
+    return commands[args.command](args)
 
 
 if __name__ == "__main__":

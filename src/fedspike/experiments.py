@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import math
+import numbers
 import os
 import time
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,7 +36,6 @@ from .model import (
     SpikedModel,
     covariance_matrix,
     fill_normals,
-    load_dataset_csv,
     projection_distance,
     random_orthonormal,
     sample,
@@ -87,8 +88,14 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.replications < 1:
-            raise ValueError("replications must be at least 1")
+        for name in ("p", "r", "m", "n", "total_n", "replications", "lam", "sigma2"):
+            value, whole = getattr(self, name), name not in ("lam", "sigma2")
+            kind = numbers.Integral if whole else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not 0 < value < math.inf:
+                what = "a positive integer" if whole else "finite and positive"
+                raise ValueError(f"{name}: must be {what}, got {value!r}")
+        if self.r > self.p:
+            raise ValueError(f"r: must not exceed p={self.p}, got {self.r}")
         bad = set(self.methods) - set(METHODS)
         if bad:
             raise ValueError(f"unknown methods {sorted(bad)}; choose from {METHODS}")
@@ -127,11 +134,8 @@ CSV_HEADER = ",".join(f.name for f in fields(RunRecord))
 
 @dataclass
 class ScenarioResult:
-    spec: ExperimentSpec
     records: list
-    csv_path: str | None = None
-    svg_path: str | None = None
-    data_digests: dict = field(default_factory=dict)
+    data_digests: dict
 
 
 def default_spec(scenario: str, **overrides) -> ExperimentSpec:
@@ -369,12 +373,7 @@ def _run_group(
         _check_unchanged(drawn, tuple(f.result() for f in handed), pool, where)
 
 
-def run_scenario(
-    spec: ExperimentSpec,
-    out_dir=None,
-    write_svg: bool = True,
-    verify_pairing: bool = True,
-) -> ScenarioResult:
+def run_scenario(spec: ExperimentSpec, verify_pairing: bool = True) -> ScenarioResult:
     """Run every (method, sweep point, replication) cell of a scenario.
 
     Replications run one after another, each as draw groups (module
@@ -387,7 +386,8 @@ def run_scenario(
     before any method runs. If a digest taken again after the group (a
     fixed_total partition: after its cell) differs, a method wrote into
     shared data, and ``RuntimeError`` names the replication and the client.
-    ``verify_pairing`` must be True: the check is not optional.
+    ``verify_pairing`` must be True: the check is not optional. Nothing is
+    written to disk; ``fedspike simulate`` writes the records' CSV and plot.
     """
     if not verify_pairing:
         raise ValueError("verify_pairing: the pairing check is always on; pass True or omit it")
@@ -412,16 +412,7 @@ def run_scenario(
     finally:
         pool.shutdown(cancel_futures=True)
 
-    records = [rec for row in cells for cell in row for rec in cell]
-    result = ScenarioResult(spec=spec, records=records, data_digests=digests)
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        result.csv_path = os.path.join(out_dir, f"{spec.scenario}.csv")
-        write_records_csv(records, result.csv_path)
-        if write_svg:
-            result.svg_path = os.path.join(out_dir, f"{spec.scenario}.svg")
-            plot_from_csv(result.csv_path, result.svg_path)
-    return result
+    return ScenarioResult([rec for row in cells for cell in row for rec in cell], digests)
 
 
 def _csv_cell(value):
@@ -536,7 +527,6 @@ class RealdataSpec:
     tail_range: tuple | None = None
     subtract_sigma: bool = True
     methods: tuple = ("fedspike", "equal", "oja")
-    header: bool = False
 
     def __post_init__(self):
         if len(self.client_sizes) < 1 or any(int(s) < 1 for s in self.client_sizes):
@@ -546,14 +536,11 @@ class RealdataSpec:
             raise ValueError(f"unknown real-data methods {sorted(bad)}")
 
 
-def run_realdata(matrix_csv, spec: RealdataSpec) -> list[dict]:
+def run_realdata(matrix, spec: RealdataSpec) -> list[dict]:
     """Split a p x N matrix among clients, run the exchange, report
     explained variance of each method's aggregated frame on the held-in
     pool. Deterministic given spec.seed."""
-    if isinstance(matrix_csv, np.ndarray):
-        x_full = np.asarray(matrix_csv, dtype=float)
-    else:
-        x_full = load_dataset_csv(matrix_csv, header=spec.header).samples
+    x_full = np.asarray(matrix, dtype=float)
     p, n_total = x_full.shape
     sizes = [int(s) for s in spec.client_sizes]
     need = sum(sizes)

@@ -25,8 +25,9 @@ class RateInputs:
     sigma2: float
 
     def __post_init__(self):
-        if self.n < 1 or self.p < 1 or self.r < 1:
-            raise ValueError("n, p, r must be positive integers")
+        for name in ("n", "p", "r"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name}: must be a positive integer, got {getattr(self, name)!r}")
         if self.r > self.p:
             raise ValueError("r cannot exceed p")
         if not self.epsilon > 0:

@@ -31,7 +31,6 @@ class AggregationWeights:
 
     pca_w: np.ndarray
     cov_v: np.ndarray
-    scheme: str
 
     def __post_init__(self):
         for name in ("pca_w", "cov_v"):
@@ -47,8 +46,6 @@ class AggregationWeights:
                 raise ValueError(f"{name} must sum to 1 (got {w.sum()!r})")
         if self.pca_w.size != self.cov_v.size:
             raise ValueError("weight vectors must have equal length")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}")
 
 
 def _normalized(raw: np.ndarray) -> np.ndarray:
@@ -81,10 +78,10 @@ def weights_from_rate_inputs(
     m = len(clients)
     if scheme == "equal":
         w = np.full(m, 1.0 / m)
-        return AggregationWeights(w, w.copy(), scheme)
+        return AggregationWeights(w, w.copy())
     w = _normalized(np.array([psi0_tilde(c) ** -2 for c in clients]))
     v = _normalized(np.array([_cov_raw(c) for c in clients]))
-    return AggregationWeights(w, v, scheme)
+    return AggregationWeights(w, v)
 
 
 def pca_weights(

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import ctypes
+import json
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,3 +54,37 @@ def spearman(x, y) -> float:
 def projector_gap(u1: np.ndarray, u2: np.ndarray) -> float:
     """Dense-matrix projector distance ||U1 U1' - U2 U2'||_F."""
     return float(np.linalg.norm(u1 @ u1.T - u2 @ u2.T, "fro"))
+
+
+def openblas_build() -> dict:
+    """The config string and core name of the OpenBLAS numpy has loaded."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    for path in libs:
+        lib = ctypes.CDLL(path)
+        found = {}
+        for key, symbol in (
+            ("config", "scipy_openblas_get_config64_"),
+            ("corename", "scipy_openblas_get_corename64_"),
+        ):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
+                found[key] = fn().decode()
+        if len(found) == 2:
+            return found
+    return {"config": f"no scipy-openblas library among {libs}", "corename": "unknown"}
+
+
+def manifest_for_this_build(path: Path) -> dict:
+    """The bit manifest at ``path``. Bits depend on the BLAS build, so on a
+    build other than the one the file was recorded on this fails, naming both."""
+    manifest = json.loads(path.read_text())
+    recorded, found = manifest["build"], openblas_build()
+    assert recorded == found, (
+        f"{path.name} was recorded on OpenBLAS {recorded['config']!r} "
+        f"(core {recorded['corename']}), but this process runs OpenBLAS "
+        f"{found['config']!r} (core {found['corename']}); record the file again "
+        "on this build to check bits here"
+    )
+    return manifest

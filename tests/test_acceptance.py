@@ -3,13 +3,29 @@
 Run with ``pytest -s tests/test_acceptance.py`` to see the per-criterion
 lines as they complete. Monte-Carlo criteria use fixed seeds, so outcomes
 are reproducible; each tolerance is stated inline next to its check.
+
+Each of the suite's scenario runs (``RUNS``), once it has passed its
+threshold, must also give the records whose sha256 ``acceptance_bits.json``
+holds (every field but ``wall_ms``). The bits depend on the BLAS build, so
+the file names the OpenBLAS build it was recorded on, and on any other
+build the check fails naming both builds. A change that moves these bits
+on purpose records the file again, in the same diff, from the root of a
+checkout (95 s on a shared 2-core host):
+
+    PYTHONPATH=src python tests/test_acceptance.py
 """
 
+import hashlib
+import json
+import sys
 import time
+from dataclasses import fields
+from pathlib import Path
 
+import conftest
 import numpy as np
 import pytest
-from conftest import make_model, projector_gap, spearman
+from conftest import make_model, manifest_for_this_build, projector_gap, spearman
 
 import fedspike as fs
 from fedspike.experiments import default_spec, mean_errors, run_scenario
@@ -17,21 +33,88 @@ from fedspike.messages import ProjectorMessage
 from fedspike.rates import RateInputs, cov_bound, is_admissible, pca_bound
 from fedspike.server import AggregationWeights
 
+BITS = Path(__file__).with_name("acceptance_bits.json")
+
+# The suite's scenario runs, as ``default_spec`` arguments, by the name
+# under which BITS holds the digest of their records.
+RUNS = {
+    # paper config, 50 reps; shared by criteria 3 and 7
+    "scenario1": dict(
+        scenario="privacy_utility",
+        replications=50,
+        base_seed=41001,
+        methods=("fedspike", "reference"),
+    ),
+    "criterion_4": dict(
+        scenario="vary_clients", replications=50, base_seed=41002, methods=("fedspike",)
+    ),
+    "criterion_5": dict(
+        scenario="fixed_total", replications=50, base_seed=41003, methods=("fedspike",)
+    ),
+    "criterion_6": dict(
+        scenario="heterogeneous",
+        replications=50,
+        base_seed=41004,
+        methods=("fedspike", "equal"),
+        n_sample_grid=(500,),
+    ),
+    "criterion_8": dict(
+        scenario="privacy_utility",
+        replications=50,
+        base_seed=41005,
+        methods=("fedspike",),
+        eps_grid=(0.5,),
+    ),
+    "criterion_11": dict(
+        scenario="privacy_utility",
+        replications=50,
+        base_seed=41006,
+        methods=("fedspike", "oja"),
+        eps_grid=(0.5,),
+    ),
+    # the abstract's third claim; see its test
+    "many_inconsistent": dict(
+        scenario="vary_clients",
+        n=500,
+        epsilon=0.2,
+        m_grid=(16, 256),
+        replications=3,
+        base_seed=44001,
+        methods=("fedspike",),
+    ),
+}
+
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
     print(f"ACCEPTANCE {num:2d} {name}: {'PASS' if ok else 'FAIL'} ({detail})")
     assert ok, f"criterion {num} ({name}) failed: {detail}"
 
 
+def records_sha256(records) -> str:
+    """sha256 over every field but ``wall_ms`` of each record, in order;
+    floats by their exact hex form."""
+    h = hashlib.sha256()
+    for rec in records:
+        for f in fields(rec):
+            if f.name != "wall_ms":
+                value = getattr(rec, f.name)
+                h.update((value.hex() if isinstance(value, float) else repr(value)).encode())
+                h.update(b",")
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+def _check_bits(name: str, records) -> None:
+    recorded = manifest_for_this_build(BITS)["runs"][name]
+    assert records_sha256(records) == recorded, (
+        f"the records of {name} are not the bits recorded in {BITS.name}"
+    )
+
+
 @pytest.fixture(scope="module")
 def scenario1():
-    """Scenario-1 run shared by criteria 3 and 7: paper config, 50 reps."""
-    spec = default_spec(
-        "privacy_utility",
-        replications=50,
-        base_seed=41001,
-        methods=("fedspike", "reference"),
-    )
+    """Scenario-1 run shared by criteria 3 and 7."""
+    spec = default_spec(**RUNS["scenario1"])
     t0 = time.perf_counter()
     result = run_scenario(spec, verify_pairing=True)
     return spec, result, time.perf_counter() - t0
@@ -93,13 +176,13 @@ def test_criterion_3_privacy_utility_curve(scenario1):
         ok,
         f"spearman={rho:.3f}, max |fed-ref|/ref={max(rel_gaps):.3%}, {elapsed:.0f}s",
     )
+    _check_bits("scenario1", result.records)
 
 
 def test_criterion_4_clients_sweep():
-    spec = default_spec(
-        "vary_clients", replications=50, base_seed=41002, methods=("fedspike",)
-    )
-    means = mean_errors(run_scenario(spec).records)
+    spec = default_spec(**RUNS["criterion_4"])
+    records = run_scenario(spec).records
+    means = mean_errors(records)
     m_values = sorted(spec.m_grid)
     errs = [means[("fedspike", m)] for m in m_values]
     monotone = all(errs[i + 1] < errs[i] for i in range(len(errs) - 1))
@@ -111,13 +194,13 @@ def test_criterion_4_clients_sweep():
         ok,
         f"monotone decreasing={monotone}, error(m=10)/error(m=40)={ratio:.3f}",
     )
+    _check_bits("criterion_4", records)
 
 
 def test_criterion_5_fixed_total_sweep():
-    spec = default_spec(
-        "fixed_total", replications=50, base_seed=41003, methods=("fedspike",)
-    )
-    means = mean_errors(run_scenario(spec).records)
+    spec = default_spec(**RUNS["criterion_5"])
+    records = run_scenario(spec).records
+    means = mean_errors(records)
     m_values = sorted(spec.total_m_grid)
     errs = [means[("fedspike", m)] for m in m_values]
     monotone = all(errs[i + 1] > errs[i] for i in range(len(errs) - 1))
@@ -127,22 +210,17 @@ def test_criterion_5_fixed_total_sweep():
         monotone,
         "mean errors over m=(10,20,25,50): " + ", ".join(f"{e:.4f}" for e in errs),
     )
+    _check_bits("criterion_5", records)
 
 
 def test_criterion_6_heterogeneous_weighting():
-    spec = default_spec(
-        "heterogeneous",
-        replications=50,
-        base_seed=41004,
-        methods=("fedspike", "equal"),
-        n_sample_grid=(500,),
-    )
-    records = run_scenario(spec).records
+    records = run_scenario(default_spec(**RUNS["criterion_6"])).records
     fed = {r.replication: r.projection_error for r in records if r.method == "fedspike"}
     equal = {r.replication: r.projection_error for r in records if r.method == "equal"}
     wins = sum(fed[k] < equal[k] for k in fed)
     ok = wins >= 40
     _report(6, "heterogeneous weighting", ok, f"optimal beats equal in {wins}/50 paired reps")
+    _check_bits("criterion_6", records)
 
 
 def test_criterion_7_rate_envelope(scenario1):
@@ -168,16 +246,11 @@ def test_criterion_7_rate_envelope(scenario1):
         ok,
         f"MSE/pca_bound across eps in [{min(ratios):.3f}, {max(ratios):.3f}]",
     )
+    _check_bits("scenario1", result.records)
 
 
 def test_criterion_8_covariance_estimator():
-    spec = default_spec(
-        "privacy_utility",
-        replications=50,
-        base_seed=41005,
-        methods=("fedspike",),
-        eps_grid=(0.5,),
-    )
+    spec = default_spec(**RUNS["criterion_8"])
     records = run_scenario(spec).records
     mse = float(np.mean([r.cov_frobenius_error**2 for r in records]))
     clients = [
@@ -186,6 +259,7 @@ def test_criterion_8_covariance_estimator():
     bound = cov_bound(clients)
     ok = mse <= 10.0 * bound
     _report(8, "covariance estimator", ok, f"mean |S-Sigma|_F^2={mse:.4f} <= 10x{bound:.4f}")
+    _check_bits("criterion_8", records)
 
 
 def test_criterion_9_small_instance_oracle_equivalence():
@@ -221,7 +295,7 @@ def test_criterion_9_small_instance_oracle_equivalence():
             ProjectorMessage(f"c{i}", f, n=10, epsilon=1.0, delta=0.1)
             for i, f in enumerate(frames)
         ]
-        got = fs.aggregate_projectors(msgs, AggregationWeights(w, w.copy(), "optimal"))
+        got = fs.aggregate_projectors(msgs, AggregationWeights(w, w.copy()))
         worst = max(worst, projector_gap(got, oracle))
         checked_agg += 1
     ok = worst <= 1e-10
@@ -261,13 +335,7 @@ def test_criterion_10_transport_equivalence(tmp_path):
 
 
 def test_criterion_11_baseline_ordering():
-    spec = default_spec(
-        "privacy_utility",
-        replications=50,
-        base_seed=41006,
-        methods=("fedspike", "oja"),
-        eps_grid=(0.5,),
-    )
+    spec = default_spec(**RUNS["criterion_11"])
     records = run_scenario(spec).records
     fed = {r.replication: r.projection_error for r in records if r.method == "fedspike"}
     oja = {r.replication: r.projection_error for r in records if r.method == "oja"}
@@ -284,6 +352,7 @@ def test_criterion_11_baseline_ordering():
         f"random-frame level={random_frame:.3f}, "
         f"mean fedspike={np.mean(list(fed.values())):.3f})",
     )
+    _check_bits("criterion_11", records)
 
 
 def test_one_consistent_client_makes_the_server_consistent():
@@ -321,19 +390,33 @@ def test_many_inconsistent_clients_make_the_server_consistent():
     # thresholds (m=256 below half of m=16, and below the random-frame
     # level) were fixed from a 3-rep run at base seed 7 (1.283 and 0.481)
     # before this test was first run at its own seed.
-    spec = default_spec(
-        "vary_clients",
-        n=500,
-        epsilon=0.2,
-        m_grid=(16, 256),
-        replications=3,
-        base_seed=44001,
-        methods=("fedspike",),
-    )
+    spec = default_spec(**RUNS["many_inconsistent"])
     client = RateInputs(spec.n, spec.epsilon, spec.delta, spec.p, spec.r, spec.lam, spec.sigma2)
     assert not is_admissible(client)
-    means = mean_errors(run_scenario(spec).records)
+    records = run_scenario(spec).records
+    means = mean_errors(records)
     few, many = means[("fedspike", 16)], means[("fedspike", 256)]
     random_frame = np.sqrt(2 * spec.r * (1 - spec.r / spec.p))
     assert many < 0.5 * few, means
     assert many < random_frame, means
+    _check_bits("many_inconsistent", records)
+
+
+def test_the_records_manifest_fails_on_another_build_naming_both(monkeypatch):
+    recorded = json.loads(BITS.read_text())["build"]
+    found = {"config": "OpenBLAS 0.0.0 NOT THE RECORDED BUILD", "corename": "Elsewhere"}
+    monkeypatch.setattr(conftest, "openblas_build", lambda: found)
+    with pytest.raises(AssertionError) as failure:
+        _check_bits("criterion_4", [])
+    for build in (recorded, found):
+        assert build["config"] in str(failure.value)
+        assert f"core {build['corename']}" in str(failure.value)
+
+
+if __name__ == "__main__":
+    record = {"build": conftest.openblas_build(), "runs": {}}
+    for name, kwargs in RUNS.items():
+        record["runs"][name] = records_sha256(run_scenario(default_spec(**kwargs)).records)
+        print(f"{name}: {record['runs'][name]}", file=sys.stderr)
+    BITS.write_text(json.dumps(record, indent=1) + "\n")
+    print(f"wrote {BITS} ({len(RUNS)} runs)", file=sys.stderr)

@@ -14,15 +14,15 @@ same diff, from the root of a checkout:
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import sys
 from pathlib import Path
 
+import conftest
 import numpy as np
 import pytest
-from conftest import make_model
+from conftest import make_model, manifest_for_this_build, openblas_build
 
 from fedspike import (
     ClientConfig,
@@ -40,26 +40,6 @@ from fedspike import (
 MANIFEST = Path(__file__).with_name("session_bits.json")
 SESSIONS = [(m, scheme) for m in (1, 3, 5) for scheme in ("optimal", "equal")]
 TRANSPORTS = ("inproc", "file", "tcp")
-
-
-def openblas_build() -> dict:
-    """The config string and core name of the OpenBLAS numpy has loaded."""
-    with open("/proc/self/maps", encoding="utf-8") as fh:
-        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    for path in libs:
-        lib = ctypes.CDLL(path)
-        found = {}
-        for key, symbol in (
-            ("config", "scipy_openblas_get_config64_"),
-            ("corename", "scipy_openblas_get_corename64_"),
-        ):
-            fn = getattr(lib, symbol, None)
-            if fn is not None:
-                fn.argtypes, fn.restype = [], ctypes.c_char_p
-                found[key] = fn().decode()
-        if len(found) == 2:
-            return found
-    return {"config": f"no scipy-openblas library among {libs}", "corename": "unknown"}
 
 
 def _digest(a) -> str:
@@ -97,15 +77,7 @@ def _key(m: int, scheme: str) -> str:
 
 
 def _load_for_this_build() -> dict:
-    manifest = json.loads(MANIFEST.read_text())
-    recorded, found = manifest["build"], openblas_build()
-    assert recorded == found, (
-        f"{MANIFEST.name} was recorded on OpenBLAS {recorded['config']!r} "
-        f"(core {recorded['corename']}), but this process runs OpenBLAS "
-        f"{found['config']!r} (core {found['corename']}); record the file again "
-        "on this build to check bits here"
-    )
-    return manifest["sessions"]
+    return manifest_for_this_build(MANIFEST)["sessions"]
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -118,7 +90,7 @@ def test_seeded_session_bits_match_the_manifest(m, scheme, transport, tmp_path):
 def test_another_build_fails_naming_both_builds(monkeypatch):
     recorded = json.loads(MANIFEST.read_text())["build"]
     found = {"config": "OpenBLAS 0.0.0 NOT THE RECORDED BUILD", "corename": "Elsewhere"}
-    monkeypatch.setitem(globals(), "openblas_build", lambda: found)
+    monkeypatch.setattr(conftest, "openblas_build", lambda: found)
     with pytest.raises(AssertionError) as failure:
         _load_for_this_build()
     for build in (recorded, found):

@@ -6,6 +6,7 @@ from conftest import make_model, save_dataset_csv
 
 from fedspike import sample
 from fedspike.cli import main
+from fedspike.experiments import RealdataSpec, run_realdata
 
 
 def test_simulate_writes_outputs(tmp_path, capsys):
@@ -53,6 +54,46 @@ def test_simulate_config_with_an_unknown_key_names_it(tmp_path):
     assert not (tmp_path / "run").exists()
 
 
+def test_simulate_no_svg_writes_the_csv_alone(tmp_path, capsys):
+    out = tmp_path / "run"
+    argv = ["simulate", "--scenario", "privacy_utility", "--out", str(out), "--reps", "1"]
+    argv += ["--methods", "fedspike", "--config", str(_tiny_config(tmp_path)), "--no-svg"]
+    assert main(argv) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["privacy_utility.csv"]
+    assert capsys.readouterr().out.startswith(f"wrote {out / 'privacy_utility.csv'}\n")
+
+
+_RATES = {"p": 50, "r": 1, "lambda": 10.0, "sigma2": 1.0}
+_CLIENT = {"n": 1000, "epsilon": 0.5, "delta": 0.1}
+
+
+@pytest.mark.parametrize(
+    "command, config, message",
+    [
+        ("simulate", {"r": 0}, "^simulate config: r: must be a positive integer, got 0$"),
+        ("simulate", {"p": "x"}, "^simulate config: p: must be a positive integer, got 'x'$"),
+        ("simulate", {"sigma2": -1}, "^simulate config: sigma2: must be finite and positive"),
+        (
+            "rates",
+            {**_RATES, "clients": [_CLIENT, {**_CLIENT, "n": 0}]},
+            "^rate config client 1: n: must be a positive integer, got 0$",
+        ),
+    ],
+)
+def test_bad_input_ends_in_one_line_naming_the_field(tmp_path, command, config, message):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "run"
+    if command == "simulate":
+        config = {"p": 8, "m": 2, "n": 100, "eps_grid": [0.5], **config}
+        argv = ["simulate", "--scenario", "privacy_utility", "--out", str(out), "--reps", "1"]
+    else:
+        argv = ["rates"]
+    cfg.write_text(json.dumps(config))
+    with pytest.raises(SystemExit, match=message):
+        main(argv + ["--config", str(cfg)])
+    assert not out.exists()
+
+
 def test_simulate_rejects_unknown_scenario(tmp_path):
     with pytest.raises(SystemExit):
         main(["simulate", "--scenario", "bogus", "--out", str(tmp_path)])
@@ -95,6 +136,29 @@ def test_realdata_reports_and_writes(tmp_path, capsys):
         rows = list(csv.DictReader(fh))
     assert [r["method"] for r in rows] == ["fedspike", "equal"]
     assert all(0.0 <= float(r["explained_variance"]) <= 1.0 for r in rows)
+
+
+def test_realdata_csv_input_with_header(tmp_path):
+    x = sample(make_model(5, 2, [400.0, 300.0], 1.0, 8), 25, 9).samples
+    path = tmp_path / "m.csv"
+    lines = ["f0,f1,f2,f3,f4"]
+    for col in x.T:
+        lines.append(",".join(format(v, ".17g") for v in col))
+    path.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "report.csv"
+    argv = ["realdata", "--input", str(path), "--header", "--clients", "15,10", "--rank", "2"]
+    argv += ["--seed", "1", "--top-k", "1", "--tail", "3,5", "--methods", "fedspike,equal"]
+    assert main(argv + ["--out", str(out)]) == 0
+    spec = RealdataSpec(
+        client_sizes=(15, 10), rank_r=2, seed=1, top_k=1, tail_range=(3, 5),
+        methods=("fedspike", "equal"),
+    )
+    direct = run_realdata(x, spec)
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [(r["method"], float(r["explained_variance"])) for r in rows] == [
+        (r["method"], r["explained_variance"]) for r in direct
+    ]
 
 
 def test_rates_emits_csv(tmp_path, capsys):

@@ -13,10 +13,12 @@ from fedspike.experiments import (
     default_spec,
     estimate_plugins,
     mean_errors,
+    plot_from_csv,
     read_records_csv,
     run_realdata,
     run_scenario,
     sweep_values,
+    write_records_csv,
 )
 
 
@@ -45,6 +47,22 @@ class TestSpec:
     def test_unknown_method(self):
         with pytest.raises(ValueError):
             _tiny_spec(methods=("fedspike", "magic"))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("p", 0), ("p", "x"), ("r", 0), ("m", -1), ("n", 120.0), ("total_n", True),
+            ("replications", 0), ("lam", 0.0), ("lam", float("inf")),
+            ("sigma2", float("nan")), ("sigma2", "1"),
+        ],
+    )
+    def test_a_bad_size_or_scale_names_its_field(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name}: must be "):
+            _tiny_spec(**{name: value})
+
+    def test_a_rank_above_the_dimension_is_refused(self):
+        with pytest.raises(ValueError, match="^r: must not exceed p=8"):
+            _tiny_spec(r=9)
 
     def test_defaults_match_paper_configs(self):
         s1 = default_spec("privacy_utility")
@@ -102,21 +120,24 @@ class TestClientLayout:
 class TestRunScenario:
     def test_record_grid_and_schema(self, tmp_path):
         spec = _tiny_spec()
-        result = run_scenario(spec, out_dir=tmp_path)
+        result = run_scenario(spec)
         assert len(result.records) == 2 * 2 * 4  # sweeps x reps x methods
-        assert result.csv_path and result.svg_path
-        with open(result.csv_path) as fh:
+        csv_path, svg_path = tmp_path / "out.csv", tmp_path / "out.svg"
+        write_records_csv(result.records, csv_path)
+        plot_from_csv(csv_path, svg_path)
+        with open(csv_path) as fh:
             header = fh.readline().strip()
         assert header == CSV_HEADER
-        with open(result.svg_path) as fh:
+        with open(svg_path) as fh:
             svg = fh.read()
         assert svg.startswith("<svg") or "<svg" in svg
         assert svg.count("<polyline") == 4
 
     def test_csv_roundtrip_bit_exact(self, tmp_path):
         spec = _tiny_spec()
-        result = run_scenario(spec, out_dir=tmp_path)
-        back = read_records_csv(result.csv_path)
+        result = run_scenario(spec)
+        write_records_csv(result.records, tmp_path / "out.csv")
+        back = read_records_csv(tmp_path / "out.csv")
         for a, b in zip(result.records, back):
             assert a.projection_error == b.projection_error
             assert a.cov_frobenius_error == b.cov_frobenius_error
@@ -666,18 +687,3 @@ class TestRealdata:
         spec = RealdataSpec(client_sizes=(130, 51), rank_r=5, seed=0)
         with pytest.raises(ValueError, match="degenerate"):
             run_realdata(x, spec)
-
-    def test_csv_input_with_header(self, tmp_path):
-        x = self._standin_matrix(p=5, n=25, r=2, seed=8)
-        path = tmp_path / "m.csv"
-        lines = ["f0,f1,f2,f3,f4"]
-        for col in x.T:
-            lines.append(",".join(format(v, ".17g") for v in col))
-        path.write_text("\n".join(lines) + "\n")
-        spec = RealdataSpec(
-            client_sizes=(15, 10), rank_r=2, seed=1, top_k=1, tail_range=(3, 5), header=True,
-            methods=("fedspike", "equal"),
-        )
-        report = run_realdata(path, spec)
-        direct = run_realdata(x, spec)
-        assert report == direct

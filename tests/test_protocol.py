@@ -490,7 +490,7 @@ class TestSession:
         from fedspike import AggregationWeights
 
         _, clients, server = _session_pieces(m=2)
-        w = AggregationWeights([0.9, 0.1], [0.9, 0.1], "optimal")
+        w = AggregationWeights([0.9, 0.1], [0.9, 0.1])
         server = ServerHandle(rank_r=1, sigma2=1.0, weights=w)
         result = run_federated_session(clients, server, InProcessTransport())
         assert np.array_equal(result.weights.pca_w, [0.9, 0.1])
@@ -525,7 +525,7 @@ class TestServerHandle:
 
         args = dict(rank_r=1, sigma2=1.0)
         if kwargs.pop("explicit", False):
-            args["weights"] = AggregationWeights([0.5, 0.5], [0.5, 0.5], "optimal")
+            args["weights"] = AggregationWeights([0.5, 0.5], [0.5, 0.5])
         args.update(kwargs)
         with pytest.raises(ValueError, match=f"^{field}: "):
             ServerHandle(**args)

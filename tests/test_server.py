@@ -85,9 +85,9 @@ class TestWeights:
 
     def test_weights_validation(self):
         with pytest.raises(ValueError):
-            AggregationWeights([0.5, 0.6], [0.5, 0.5], "equal")
+            AggregationWeights([0.5, 0.6], [0.5, 0.5])
         with pytest.raises(ValueError):
-            AggregationWeights([-0.1, 1.1], [0.5, 0.5], "equal")
+            AggregationWeights([-0.1, 1.1], [0.5, 0.5])
         with pytest.raises(ValueError):
             pca_weights([], **SHARED)
         mixed = [RateInputs(1000, 0.5, 0.1, p, r, 10.0, 1.0) for p, r in ((50, 1), (40, 3))]
@@ -99,7 +99,7 @@ class TestWeights:
     def test_non_finite_entry_names_its_field(self, field, value):
         vectors = {"pca_w": [0.5, 0.5], "cov_v": [0.5, 0.5], field: [value, 0.5]}
         with pytest.raises(ValueError, match=f"^{field} has non-finite entries"):
-            AggregationWeights(vectors["pca_w"], vectors["cov_v"], "optimal")
+            AggregationWeights(vectors["pca_w"], vectors["cov_v"])
 
     @pytest.mark.parametrize("scheme", [s for s in SCHEMES if s != "equal"])
     def test_a_single_observation_is_refused(self, scheme):
@@ -191,7 +191,7 @@ class TestInverseSquareOptimum:
             np.testing.assert_allclose(shipped, psi**-2 / np.sum(psi**-2), rtol=1e-12)
             for i, k in enumerate(self.POWERS):
                 w = psi**-k / np.sum(psi**-k)
-                u_hat = aggregate_projectors(msgs, AggregationWeights(w, w, "optimal"))
+                u_hat = aggregate_projectors(msgs, AggregationWeights(w, w))
                 sq_err[i] += projection_distance(u_hat, model.basis_u) ** 2
         mse = dict(zip(self.POWERS, sq_err / self.REPS))
         shown = ", ".join(f"k={k}: {e:.4g}" for k, e in mse.items())
@@ -202,7 +202,7 @@ class TestInverseSquareOptimum:
 class TestAggregateProjectors:
     def test_single_message(self):
         u = np.eye(4)[:, :2]
-        out = aggregate_projectors([_msg(u, "a")], AggregationWeights([1.0], [1.0], "equal"))
+        out = aggregate_projectors([_msg(u, "a")], AggregationWeights([1.0], [1.0]))
         assert projector_gap(out, u) <= 1e-12
 
     def test_identical_frames(self):
@@ -210,14 +210,14 @@ class TestAggregateProjectors:
 
         u = random_orthonormal(6, 2, 3)
         msgs = [_msg(u, f"c{i}") for i in range(3)]
-        w = AggregationWeights(np.full(3, 1 / 3), np.full(3, 1 / 3), "equal")
+        w = AggregationWeights(np.full(3, 1 / 3), np.full(3, 1 / 3))
         assert projector_gap(aggregate_projectors(msgs, w), u) <= 1e-12
 
     def test_two_by_two_closed_form(self):
         e1 = np.array([[1.0], [0.0]])
         diag = np.array([[1.0], [1.0]]) / np.sqrt(2)
         msgs = [_msg(e1, "a"), _msg(diag, "b")]
-        w = AggregationWeights([0.5, 0.5], [0.5, 0.5], "equal")
+        w = AggregationWeights([0.5, 0.5], [0.5, 0.5])
         out = aggregate_projectors(msgs, w)
         # hand eigen-solve of [[0.75, 0.25], [0.25, 0.25]], 50-digit pinned
         expected = np.array([[0.92387953251128675613], [0.38268343236508977173]])
@@ -227,20 +227,20 @@ class TestAggregateProjectors:
         from fedspike import random_orthonormal
 
         msgs = [_msg(random_orthonormal(5, 1, i), f"c{i}") for i in range(4)]
-        w = AggregationWeights([0.1, 0.2, 0.3, 0.4], [0.25] * 4, "optimal")
+        w = AggregationWeights([0.1, 0.2, 0.3, 0.4], [0.25] * 4)
         a = aggregate_projectors(msgs, w)
         b = aggregate_projectors(list(reversed(msgs)), w)
         assert np.array_equal(a, b)
 
     def test_duplicate_ids_rejected(self):
         u = np.eye(3)[:, :1]
-        w = AggregationWeights([0.5, 0.5], [0.5, 0.5], "equal")
+        w = AggregationWeights([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             aggregate_projectors([_msg(u, "a"), _msg(u, "a")], w)
 
     def test_weight_count_mismatch(self):
         u = np.eye(3)[:, :1]
-        w = AggregationWeights([0.5, 0.5], [0.5, 0.5], "equal")
+        w = AggregationWeights([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             aggregate_projectors([_msg(u, "a")], w)
 
@@ -251,7 +251,7 @@ class TestAggregateReference:
 
         u = random_orthonormal(7, 2, 9)
         raws = [u @ u.T for _ in range(3)]
-        w = AggregationWeights(np.full(3, 1 / 3), np.full(3, 1 / 3), "equal")
+        w = AggregationWeights(np.full(3, 1 / 3), np.full(3, 1 / 3))
         assert projector_gap(aggregate_reference(raws, w, 2), u) <= 1e-10
 
     def test_single_matrix_matches_definition(self):
@@ -261,11 +261,11 @@ class TestAggregateReference:
         raw = local_raw_noisy_projector(data, cfg)
         from fedspike.spectral import svd_r
 
-        w = AggregationWeights([1.0], [1.0], "equal")
+        w = AggregationWeights([1.0], [1.0])
         assert np.array_equal(aggregate_reference([raw], w, 1), svd_r(raw, 1))
 
     def test_dimension_mismatch(self):
-        w = AggregationWeights([0.5, 0.5], [0.5, 0.5], "equal")
+        w = AggregationWeights([0.5, 0.5], [0.5, 0.5])
         with pytest.raises(ValueError):
             aggregate_reference([np.eye(3), np.eye(4)], w, 1)
 
@@ -275,7 +275,7 @@ class TestAssembleCovariance:
         model = make_model(6, 2, [5.0, 3.0], 1.0, 2)
         lam = np.diag(model.spike_eigenvalues)
         msgs = [_eig_msg(lam, "a"), _eig_msg(lam, "b")]
-        w = AggregationWeights([0.5, 0.5], [0.5, 0.5], "equal")
+        w = AggregationWeights([0.5, 0.5], [0.5, 0.5])
         sigma = assemble_covariance(model.basis_u, msgs, w, 1.0)
         np.testing.assert_allclose(sigma, covariance_matrix(model), atol=1e-13)
 
@@ -284,7 +284,7 @@ class TestAssembleCovariance:
         lam_a = np.array([[4.0]])
         lam_b = np.array([[9.0]])
         msgs = [_eig_msg(lam_a, "a"), _eig_msg(lam_b, "b")]
-        w = AggregationWeights([0.5, 0.5], [0.0, 1.0], "optimal")
+        w = AggregationWeights([0.5, 0.5], [0.0, 1.0])
         sigma = assemble_covariance(model.basis_u, msgs, w, 1.0)
         u = model.basis_u
         np.testing.assert_allclose(sigma, 9.0 * (u @ u.T) + np.eye(5), atol=1e-13)
@@ -294,14 +294,14 @@ class TestAssembleCovariance:
         lam = np.diag([3.0, 2.0])
         lam[0, 1] += 5e-9  # inside the message tolerance
         msgs = [_eig_msg(lam, "a")]
-        w = AggregationWeights([1.0], [1.0], "equal")
+        w = AggregationWeights([1.0], [1.0])
         sigma = assemble_covariance(model.basis_u, msgs, w, 1.0)
         assert np.array_equal(sigma, sigma.T)
 
     def test_shape_mismatch(self):
         model = make_model(4, 2, [3.0, 2.0], 1.0, 1)
         msgs = [_eig_msg(np.eye(3), "a")]
-        w = AggregationWeights([1.0], [1.0], "equal")
+        w = AggregationWeights([1.0], [1.0])
         with pytest.raises(ValueError):
             assemble_covariance(model.basis_u, msgs, w, 1.0)
 
