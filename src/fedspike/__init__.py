@@ -30,14 +30,10 @@ from .model import (
 )
 from .oja import default_clip_norm, fed_dp_oja
 from .privacy import (
-    DegenerateSpectrumError,
     NoiseCalibration,
     PrivacyBudget,
     calibrate,
-    empirical_projector_sensitivity,
-    projector_sensitivity_bound,
     sample_symmetric_noise,
-    sensitivity_margin,
 )
 from .protocol import (
     ClientHandle,

@@ -41,11 +41,6 @@ def _add_simulate(sub):
     p.add_argument("--methods", type=_parse_methods, default=None, help="comma-separated")
     p.add_argument("--config", default=None, help="JSON file of ExperimentSpec overrides")
     p.add_argument("--no-svg", action="store_true")
-    p.add_argument(
-        "--sensitivity-check",
-        action="store_true",
-        help="also report the empirical vs analytic projector sensitivity",
-    )
 
 
 def _add_realdata(sub):
@@ -99,31 +94,7 @@ def _cmd_simulate(args) -> int:
     means = mean_errors(records)
     for (method, sv), err in sorted(means.items()):
         print(f"{method:10s} sweep={sv:<10g} mean projection error = {err:.6f}")
-    if args.sensitivity_check:
-        _print_sensitivity_check(spec)
     return 0
-
-
-def _print_sensitivity_check(spec) -> None:
-    """Empirical leave-one-out sensitivity against the analytic envelope,
-    at the scenario's model and a representative client size."""
-    import numpy as np
-
-    from fedspike import SpikedModel, random_orthonormal, sensitivity_margin
-    from fedspike.experiments import client_layout, sweep_values
-
-    model = SpikedModel(
-        random_orthonormal(spec.p, spec.r, spec.base_seed),
-        np.full(spec.r, spec.lam),
-        spec.sigma2,
-    )
-    layout = client_layout(spec, sweep_values(spec)[0], 0, 0)
-    n = min(n_j for n_j, _, _ in layout)
-    report = sensitivity_margin(model, n, spec.r, trials=10, seed=spec.base_seed)
-    print(
-        f"sensitivity check (n={n}): empirical={report['empirical']:.5f}, "
-        f"bound={report['bound']:.5f}, ratio={report['ratio']:.3f}"
-    )
 
 
 def _cmd_realdata(args) -> int:
@@ -141,7 +112,12 @@ def _cmd_realdata(args) -> int:
         )
     except (ValueError, TypeError) as exc:
         raise SystemExit(f"realdata: {exc}")
-    report = run_realdata(load_dataset_csv(args.input, header=args.header).samples, spec)
+    try:
+        data = load_dataset_csv(args.input, header=args.header)
+    except ValueError as exc:
+        hint = "" if args.header else "; if its first row is a header, pass --header"
+        raise SystemExit(f"realdata: cannot read {args.input}: {exc}{hint}")
+    report = run_realdata(data.samples, spec)
     for row in report:
         print(f"{row['method']:10s} explained variance = {row['explained_variance']:.6f}")
     if args.out:
@@ -158,11 +134,13 @@ def _cmd_rates(args) -> int:
         cfg = json.load(fh)
     where = "rate config"
     try:
-        shared = (int(cfg["p"]), int(cfg["r"]), float(cfg["lambda"]), float(cfg["sigma2"]))
+        shared = (cfg["p"], cfg["r"], cfg["lambda"], cfg["sigma2"])
+        if not cfg["clients"]:
+            raise ValueError("clients: must list at least one client")
         clients = []
         for j, c in enumerate(cfg["clients"]):
             where = f"rate config client {j}"
-            clients.append(RateInputs(int(c["n"]), float(c["epsilon"]), float(c["delta"]), *shared))
+            clients.append(RateInputs(c["n"], c["epsilon"], c["delta"], *shared))
     except KeyError as exc:
         raise SystemExit(f"{where} is missing a required field: {exc}")
     except (ValueError, TypeError) as exc:

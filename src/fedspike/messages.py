@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,8 +77,8 @@ class ProjectorMessage:
         _check_client_id(self.client_id)
         object.__setattr__(self, "u_hat", _frozen(self.u_hat))
         _check_orthonormal(self.u_hat, "u_hat")
-        if int(self.n) < 1:
-            raise MessageError("n must be a positive integer")
+        if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral) or self.n < 1:
+            raise MessageError(f"n must be a positive integer, got {self.n!r}")
         if not self.epsilon > 0:
             raise MessageError("epsilon must be positive")
         if not 0 < self.delta < 1:

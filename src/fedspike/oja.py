@@ -13,7 +13,7 @@ against the main method is meaningful.
 
 This sigma is conservative by sqrt(T). With one pass, each sample enters
 exactly one step, which given the frame before it is a Gaussian mechanism
-with sensitivity Delta_step (earlier steps do not depend on the sample,
+with one-datum change Delta_step (earlier steps do not depend on the sample,
 later ones are post-processing), so a per-step (epsilon, delta) calibration
 already suffices. At criterion 11's shape (m=10, n=1e4, p=50, r=1,
 epsilon=0.5) the baseline's projection error sits at the random-frame level

@@ -1,14 +1,13 @@
 """Gaussian-mechanism calibration and symmetric noise generation.
 
-Noise variances follow the closed-form sensitivity-based recipes verbatim:
+Noise variances follow the closed-form recipes verbatim:
 
     alpha^2 = (8/eps^2) log(2.5/delta) (s2/lam)(s2/lam + 1) p (r + log n) / n^2
     beta^2  = (8/eps^2) log(2.5/delta) (lam^2 (r + log n)^2 + s2^2 p^2) / n^2
 
 with natural logarithms throughout. The symmetric noise matrix has i.i.d.
 N(0, variance) entries below the diagonal (mirrored above) and N(0,
-2*variance) on the diagonal. An empirical leave-one-out oracle is provided
-to check the analytic projector-sensitivity envelope on simulated data.
+2*variance) on the diagonal.
 """
 
 from __future__ import annotations
@@ -19,17 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SpikedModel, projection_distance, sample
-from .rng import derive_seed, rng_from
-from .spectral import sample_covariance, sym_eig
-
-
-# The leading constant of the analytic projector-sensitivity envelope.
-_SENSITIVITY_CONST = 4.0
-
-
-class DegenerateSpectrumError(RuntimeError):
-    """Raised when a top-r eigengap is too small for a stable projector."""
+from .rng import rng_from
 
 
 @dataclass(frozen=True)
@@ -133,55 +122,3 @@ def scale_symmetric_normals(off: np.ndarray, diag: np.ndarray, variance: float) 
     out += out.transpose(0, 2, 1)
     out[:, on_diag, on_diag] = diag * math.sqrt(2.0 * variance)
     return out
-
-
-def projector_sensitivity_bound(p: int, r: int, n: int, lam: float, sigma2: float) -> float:
-    """Analytic leave-one-out projector-sensitivity envelope.
-
-    _SENSITIVITY_CONST/n * sqrt((lam + s2)/lam * s2/lam) * sqrt(p (r + log n)).
-    """
-    return (
-        _SENSITIVITY_CONST
-        / n
-        * math.sqrt((lam + sigma2) / lam * sigma2 / lam)
-        * math.sqrt(p * (r + math.log(n)))
-    )
-
-
-def empirical_projector_sensitivity(
-    model: SpikedModel, n: int, r: int, trials: int, seed: int
-) -> float:
-    """Worst observed projector change under one-datum replacement.
-
-    For each trial: draw a dataset, then for every index i replace X_i by a
-    fresh draw (the neighboring dataset) and record the Frobenius change of
-    the top-r spectral projector of the sample covariance. Returns the max
-    over all indices and trials.
-    """
-    if n < r + 2:
-        raise ValueError("n must be at least r + 2")
-    p = model.dim_p
-    worst = 0.0
-    for t in range(trials):
-        data = sample(model, n, derive_seed(seed, "sens-data", t))
-        fresh = sample(model, n, derive_seed(seed, "sens-fresh", t)).samples
-        x = data.samples
-        s_full = sample_covariance(data)
-        eig = sym_eig(s_full)
-        if r < p and eig.values[r - 1] - eig.values[r] <= 1e-10:
-            raise DegenerateSpectrumError(
-                f"trial {t}: top-{r} eigengap of the sample covariance is below 1e-10"
-            )
-        u_base = eig.vectors[:, :r]
-        for i in range(n):
-            delta = (np.outer(fresh[:, i], fresh[:, i]) - np.outer(x[:, i], x[:, i])) / n
-            u_i = sym_eig(s_full + delta).vectors[:, :r]
-            worst = max(worst, projection_distance(u_base, u_i))
-    return worst
-
-
-def sensitivity_margin(model: SpikedModel, n: int, r: int, trials: int, seed: int) -> dict:
-    """Empirical-vs-analytic sensitivity diagnostic for simulation runs."""
-    empirical = empirical_projector_sensitivity(model, n, r, trials, seed)
-    bound = projector_sensitivity_bound(model.dim_p, r, n, model.spike_scalar, model.noise_var)
-    return {"empirical": empirical, "bound": bound, "ratio": empirical / bound}

@@ -8,6 +8,7 @@ per-client rates, capped by the trivial-estimator level.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,17 +26,16 @@ class RateInputs:
     sigma2: float
 
     def __post_init__(self):
-        for name in ("n", "p", "r"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name}: must be a positive integer, got {getattr(self, name)!r}")
+        for name in ("n", "epsilon", "delta", "p", "r", "lam", "sigma2"):
+            value, whole = getattr(self, name), name in ("n", "p", "r")
+            kind = numbers.Integral if whole else numbers.Real
+            if isinstance(value, bool) or not isinstance(value, kind) or not value > 0:
+                what = "a positive integer" if whole else "a positive number"
+                raise ValueError(f"{name}: must be {what}, got {value!r}")
         if self.r > self.p:
-            raise ValueError("r cannot exceed p")
-        if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if not (self.lam > 0 and self.sigma2 > 0):
-            raise ValueError("lam and sigma2 must be positive")
+            raise ValueError(f"r: must not exceed p={self.p}, got {self.r}")
+        if not self.delta < 1:
+            raise ValueError(f"delta: must lie in (0, 1), got {self.delta!r}")
 
 
 def _log_privacy(delta: float) -> float:

@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fedspike import SpikedModel, random_orthonormal
+from fedspike import SpikedModel, projection_distance, random_orthonormal, sample
+from fedspike.rng import derive_seed
+from fedspike.spectral import sample_covariance, sym_eig
 
 
 @pytest.fixture(autouse=True)
@@ -38,6 +41,59 @@ def save_dataset_csv(x: np.ndarray, path) -> None:
     """Write a p x n matrix one observation per row (p columns, no header),
     as ``fedspike.load_dataset_csv`` reads it."""
     np.savetxt(path, x.T, delimiter=",", fmt="%.17g")
+
+
+# The leading constant of the analytic projector-sensitivity envelope.
+_SENSITIVITY_CONST = 4.0
+
+
+class DegenerateSpectrumError(RuntimeError):
+    """Raised when a top-r eigengap is too small for a stable projector."""
+
+
+def projector_sensitivity_bound(p: int, r: int, n: int, lam: float, sigma2: float) -> float:
+    """Analytic leave-one-out projector-sensitivity envelope.
+
+    _SENSITIVITY_CONST/n * sqrt((lam + s2)/lam * s2/lam) * sqrt(p (r + log n)).
+    """
+    return (
+        _SENSITIVITY_CONST
+        / n
+        * math.sqrt((lam + sigma2) / lam * sigma2 / lam)
+        * math.sqrt(p * (r + math.log(n)))
+    )
+
+
+def empirical_projector_sensitivity(
+    model: SpikedModel, n: int, r: int, trials: int, seed: int
+) -> float:
+    """Worst observed projector change under one-datum replacement.
+
+    For each trial: draw a dataset, then for every index i replace X_i by a
+    fresh draw (the neighboring dataset) and record the Frobenius change of
+    the top-r spectral projector of the sample covariance. Returns the max
+    over all indices and trials.
+    """
+    if n < r + 2:
+        raise ValueError("n must be at least r + 2")
+    p = model.dim_p
+    worst = 0.0
+    for t in range(trials):
+        data = sample(model, n, derive_seed(seed, "sens-data", t))
+        fresh = sample(model, n, derive_seed(seed, "sens-fresh", t)).samples
+        x = data.samples
+        s_full = sample_covariance(data)
+        eig = sym_eig(s_full)
+        if r < p and eig.values[r - 1] - eig.values[r] <= 1e-10:
+            raise DegenerateSpectrumError(
+                f"trial {t}: top-{r} eigengap of the sample covariance is below 1e-10"
+            )
+        u_base = eig.vectors[:, :r]
+        for i in range(n):
+            delta = (np.outer(fresh[:, i], fresh[:, i]) - np.outer(x[:, i], x[:, i])) / n
+            u_i = sym_eig(s_full + delta).vectors[:, :r]
+            worst = max(worst, projection_distance(u_base, u_i))
+    return worst
 
 
 def spearman(x, y) -> float:

@@ -25,7 +25,14 @@ from pathlib import Path
 import conftest
 import numpy as np
 import pytest
-from conftest import make_model, manifest_for_this_build, projector_gap, spearman
+from conftest import (
+    empirical_projector_sensitivity,
+    make_model,
+    manifest_for_this_build,
+    projector_gap,
+    projector_sensitivity_bound,
+    spearman,
+)
 
 import fedspike as fs
 from fedspike.experiments import default_spec, mean_errors, run_scenario
@@ -145,10 +152,10 @@ def test_criterion_1_noise_calibration():
 def test_criterion_2_sensitivity_envelope():
     t0 = time.perf_counter()
     model = make_model(20, 1, 10.0, 1.0, 4201)
-    worst = fs.empirical_projector_sensitivity(model, 500, 1, trials=100, seed=4202)
-    bound = fs.projector_sensitivity_bound(20, 1, 500, 10.0, 1.0)
-    s500 = fs.empirical_projector_sensitivity(model, 500, 1, trials=20, seed=4203)
-    s1000 = fs.empirical_projector_sensitivity(model, 1000, 1, trials=20, seed=4204)
+    worst = empirical_projector_sensitivity(model, 500, 1, trials=100, seed=4202)
+    bound = projector_sensitivity_bound(20, 1, 500, 10.0, 1.0)
+    s500 = empirical_projector_sensitivity(model, 500, 1, trials=20, seed=4203)
+    s1000 = empirical_projector_sensitivity(model, 1000, 1, trials=20, seed=4204)
     ratio = s1000 / s500
     elapsed = time.perf_counter() - t0
     ok = worst <= bound and 0.35 <= ratio <= 0.7 and elapsed < 60.0

@@ -1,10 +1,14 @@
+import argparse
+import ast
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 from conftest import make_model, save_dataset_csv
 
-from fedspike import sample
+from fedspike import cli, sample
 from fedspike.cli import main
 from fedspike.experiments import RealdataSpec, run_realdata
 
@@ -77,6 +81,26 @@ _CLIENT = {"n": 1000, "epsilon": 0.5, "delta": 0.1}
             "rates",
             {**_RATES, "clients": [_CLIENT, {**_CLIENT, "n": 0}]},
             "^rate config client 1: n: must be a positive integer, got 0$",
+        ),
+        (
+            "rates",
+            {**_RATES, "clients": []},
+            "^rate config: clients: must list at least one client$",
+        ),
+        (
+            "rates",
+            {**_RATES, "clients": [_CLIENT, {**_CLIENT, "n": 1.9}]},
+            "^rate config client 1: n: must be a positive integer, got 1.9$",
+        ),
+        (
+            "rates",
+            {**_RATES, "r": True, "clients": [_CLIENT]},
+            "^rate config client 0: r: must be a positive integer, got True$",
+        ),
+        (
+            "rates",
+            {**_RATES, "clients": [{**_CLIENT, "epsilon": "0.5"}]},
+            "^rate config client 0: epsilon: must be a positive number, got '0.5'$",
         ),
     ],
 )
@@ -159,6 +183,60 @@ def test_realdata_csv_input_with_header(tmp_path):
     assert [(r["method"], float(r["explained_variance"])) for r in rows] == [
         (r["method"], r["explained_variance"]) for r in direct
     ]
+
+
+def test_realdata_csv_with_a_header_row_read_without_the_flag_says_so(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text("g0,g1\n1.0,2.0\n3.0,4.0\n")
+    argv = ["realdata", "--input", str(path), "--clients", "1,1", "--rank", "1"]
+    with pytest.raises(SystemExit, match=f"^realdata: cannot read {re.escape(str(path))}: ") as e:
+        main(argv)
+    assert str(e.value).endswith("; if its first row is a header, pass --header")
+    assert "\n" not in str(e.value)
+
+
+def test_realdata_no_sigma_subtract_writes_the_report_run_realdata_gives(tmp_path):
+    x = sample(make_model(10, 2, [300.0, 200.0], 1.0, 3), 40, 5).samples
+    path = tmp_path / "data.csv"
+    save_dataset_csv(x, path)
+    argv = ["realdata", "--input", str(path), "--clients", "25,15", "--rank", "2", "--seed", "7"]
+    argv += ["--top-k", "1", "--tail", "5,10", "--methods", "fedspike"]
+    reports = {}
+    for subtract, flags in ((True, []), (False, ["--no-sigma-subtract"])):
+        out = tmp_path / f"report-{subtract}.csv"
+        assert main(argv + flags + ["--out", str(out)]) == 0
+        with open(out, newline="") as fh:
+            reports[subtract] = [
+                (r["method"], float(r["explained_variance"])) for r in csv.DictReader(fh)
+            ]
+        spec = RealdataSpec(
+            client_sizes=(25, 15), rank_r=2, seed=7, top_k=1, tail_range=(5, 10),
+            subtract_sigma=subtract, methods=("fedspike",),
+        )
+        direct = run_realdata(x, spec)
+        assert reports[subtract] == [(r["method"], r["explained_variance"]) for r in direct]
+    assert reports[True] != reports[False]
+
+
+def test_every_cli_option_is_run_by_a_test_here():
+    # Each option string must appear as a string constant in this file, so an
+    # option that no test runs is seen, and either tested or deleted.
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    for add in (cli._add_simulate, cli._add_realdata, cli._add_rates):
+        add(sub)
+    options = {
+        option
+        for command in sub.choices.values()
+        for action in command._actions
+        for option in action.option_strings
+    } - {"-h", "--help"}
+    constants = {
+        node.value
+        for node in ast.walk(ast.parse(Path(__file__).read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert sorted(options - constants) == []
 
 
 def test_rates_emits_csv(tmp_path, capsys):

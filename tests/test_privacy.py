@@ -1,19 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from conftest import make_model, projector_gap
-
-from fedspike import (
+from conftest import (
     DegenerateSpectrumError,
-    NoiseCalibration,
-    PrivacyBudget,
-    calibrate,
     empirical_projector_sensitivity,
+    make_model,
+    projector_gap,
     projector_sensitivity_bound,
-    sample_symmetric_noise,
-    sensitivity_margin,
 )
+
+from fedspike import NoiseCalibration, PrivacyBudget, calibrate, sample_symmetric_noise
 from fedspike.rng import rng_from
 from fedspike.spectral import sym_eig
 
@@ -65,6 +63,21 @@ class TestCalibrate:
             assert getattr(more_eps, name) < getattr(base, name)
             assert getattr(more_n, name) < getattr(base, name)
             assert getattr(smaller_delta, name) > getattr(base, name)
+
+    def test_alpha_sq_is_the_gaussian_mechanism_at_the_checked_envelope(self):
+        # The projector noise is the Gaussian mechanism at the envelope that
+        # criterion 2 checks empirically: alpha^2 = Delta^2 log(2.5/delta) / (2 eps^2).
+        grid = itertools.product(
+            (1, 8, 50, 251), (1, 3), (2, 10, 500, 10**4), (0.05, 1.0, 8.0),
+            (1e-6, 0.1, 0.9), (0.5, 10.0), (0.2, 1.0),
+        )
+        for p, r, n, eps, delta, lam, sigma2 in grid:
+            if r > p:
+                continue
+            alpha_sq = calibrate(PrivacyBudget(eps, delta), p, r, n, lam, sigma2).alpha_sq
+            envelope = projector_sensitivity_bound(p, r, n, lam, sigma2)
+            want = envelope**2 * math.log(2.5 / delta) / (2 * eps**2)
+            assert alpha_sq == pytest.approx(want, rel=1e-12), (p, r, n, eps, delta, lam, sigma2)
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
@@ -183,9 +196,3 @@ class TestEmpiricalSensitivity:
         model = make_model(6, 2, [5.0, 4.0], 1.0, 1)
         with pytest.raises(ValueError):
             empirical_projector_sensitivity(model, 3, 2, trials=1, seed=0)
-
-    def test_margin_diagnostic(self):
-        model = make_model(10, 1, 10.0, 1.0, 12)
-        report = sensitivity_margin(model, 200, 1, trials=3, seed=4)
-        assert 0 < report["empirical"] <= report["bound"]
-        assert report["ratio"] == report["empirical"] / report["bound"]

@@ -1,4 +1,5 @@
 import json
+import re
 import socket
 import struct
 import threading
@@ -230,6 +231,16 @@ class TestCodec:
 
         with pytest.raises(MessageError):
             ProjectorMessage("server", random_orthonormal(3, 1, 0), 10, 0.5, 0.1)
+
+    @pytest.mark.parametrize("n", [1.5, True, 0, np.float64(120.0)])
+    def test_a_count_that_is_not_a_positive_integer_is_refused(self, n):
+        # The wire holds n as a JSON integer, so a count the codec would
+        # truncate must not weigh a client in process either.
+        from fedspike import random_orthonormal
+
+        refusal = f"^n must be a positive integer, got {re.escape(repr(n))}$"
+        with pytest.raises(MessageError, match=refusal):
+            ProjectorMessage("c0", random_orthonormal(3, 1, 0), n, 0.5, 0.1)
 
 
 def _session_pieces(m=3, p=10, r=1, n=80, heterogeneous=False, seed=0):
