@@ -64,14 +64,19 @@ def _add_rates(sub):
     p.add_argument("--config", required=True, help="JSON rate configuration")
 
 
+def _refuse_unknown_keys(where: str, config: dict, known: set) -> None:
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise SystemExit(f"{where}: unknown keys: {', '.join(unknown)}")
+
+
 def _cmd_simulate(args) -> int:
     overrides = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             overrides.update(json.load(fh))
-        unknown = sorted(set(overrides) - {f.name for f in dataclasses.fields(ExperimentSpec)})
-        if unknown:
-            raise SystemExit(f"simulate config has unknown keys: {', '.join(unknown)}")
+        fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
+        _refuse_unknown_keys("simulate config", overrides, fields)
     overrides.pop("scenario", None)  # the flag wins
     overrides["replications"] = args.reps
     overrides["base_seed"] = args.seed
@@ -114,6 +119,9 @@ def _cmd_realdata(args) -> int:
         raise SystemExit(f"realdata: {exc}")
     try:
         data = load_dataset_csv(args.input, header=args.header)
+    except OSError as exc:
+        # numpy's own not-found error names the path and has no strerror.
+        raise SystemExit(f"realdata: cannot read {args.input}: {exc.strerror or 'no such file'}")
     except ValueError as exc:
         hint = "" if args.header else "; if its first row is a header, pass --header"
         raise SystemExit(f"realdata: cannot read {args.input}: {exc}{hint}")
@@ -134,12 +142,14 @@ def _cmd_rates(args) -> int:
         cfg = json.load(fh)
     where = "rate config"
     try:
+        _refuse_unknown_keys(where, cfg, {"p", "r", "lambda", "sigma2", "clients"})
         shared = (cfg["p"], cfg["r"], cfg["lambda"], cfg["sigma2"])
         if not cfg["clients"]:
             raise ValueError("clients: must list at least one client")
         clients = []
         for j, c in enumerate(cfg["clients"]):
             where = f"rate config client {j}"
+            _refuse_unknown_keys(where, c, {"n", "epsilon", "delta"})
             clients.append(RateInputs(c["n"], c["epsilon"], c["delta"], *shared))
     except KeyError as exc:
         raise SystemExit(f"{where} is missing a required field: {exc}")

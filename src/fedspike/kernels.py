@@ -12,6 +12,12 @@ running it alone (``tests/test_kernels.py`` holds that loop as its oracle).
 The schedule is fixed: the step size at global step t (counted from 1) is
 eta_t = 1/t, and every step ends with a QR of the stack.
 
+The caller hands over each block's observations and its gradient noise
+already scaled, and the kernel makes no block-sized array of its own (it
+copies ``xs`` only when an observation of the block lies outside the clip
+ball). So the caller's two block buffers are the whole working set that
+grows with the block, and the per-step temporaries are (B, p, r) stacks.
+
 The reorthonormalisation calls the two gufuncs behind ``np.linalg.qr``
 (``qr_r_raw``, then ``qr_reduced``; in ``numpy.linalg._umath_linalg`` since
 numpy 1.22) rather than the wrapper, whose per-call Python work was more
@@ -27,18 +33,20 @@ import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
 
 
-def oja_stream(xs, v, t0, clip_norm, noise_std, noise):
+def oja_stream(xs, v, t0, clip_norm, noise):
     """Advance B Oja streams in lockstep over one block of k time steps.
 
     ``xs`` is time-major, (k, B, p): ``xs[i, b]`` is the observation of
     stream b at global step ``t = t0 + i``. ``v`` is the (B, p, r) stack of
     frames. Each stream does
 
-        v <- qr(v + eta_t (x x^T v + noise_std[b] * N_t)),  eta_t = 1 / (t + 1),
+        v <- qr(v + eta_t (x x^T v + E_t)),  eta_t = 1 / (t + 1),
 
     with observations of norm above ``clip_norm`` rescaled onto the clip
     ball and a stacked QR after every step. ``noise`` holds the (k, B, p, r)
-    standard normals N_t. Returns the updated stack.
+    gradient noise E_t, already scaled: stream b's standard normals times
+    its noise std, the product the caller forms in place in its draw buffer
+    (``oja._run_group``). Returns the updated stack.
     The caller's ``xs``, ``v`` and ``noise`` are never written. An invalid
     floating-point operation in the block, which is how a LAPACK error in the
     QR shows, raises ``LinAlgError``.
@@ -57,7 +65,6 @@ def oja_stream(xs, v, t0, clip_norm, noise_std, noise):
     if over.any():
         xs = xs.copy()
         xs[over] *= (clip_norm / nrm[over])[:, None]
-    noise = noise_std[:, None, None] * noise
     rows = xs[:, :, None, :]  # (k, B, 1, p): each observation as a row vector
     with _qr_errstate():
         for i in range(k):

@@ -174,8 +174,9 @@ def sample(
     in place, into ``z``, and the spike part is added to it one block of
     columns at a time, each block checked for non-finite entries once
     summed, so no p x n temporary is held. IEEE products and sums commute,
-    so with r = 1 (one product per entry) this is bit-identical to
-    ``U (scale g) + sqrt(noise_var) z``. With r > 1 it is too wherever
+    so with r = 1 (one product per entry, formed by broadcasting) this is
+    bit-identical to ``U (scale g) + sqrt(noise_var) z``. With r > 1 the
+    spike part is a GEMM per block, and the bits are the same wherever
     OpenBLAS sums a block as it sums the whole product; README,
     "Reproducibility", names the columns where it does not. ``z`` then
     becomes the dataset's read-only samples without a copy, so a caller
@@ -190,14 +191,19 @@ def sample(
     g, z = normals
     if (g.shape, z.shape) != shapes:
         raise ValueError(f"normals must have shapes {shapes}, got {(g.shape, z.shape)}")
+    u = model.basis_u
     scale = np.sqrt(model.spike_eigenvalues)[:, None]
+    # One pass over the whole of z: numpy scales a contiguous array faster
+    # than the same columns as strided blocks.
     z *= np.sqrt(model.noise_var)
     # No block stops one column before the end: a one-column block would go
     # through matrix-vector code, which sums r > 1 terms in another order.
     stops = [*range(_FINISH_COLUMNS, n - 1, _FINISH_COLUMNS), n]
     for c0, c1 in zip([0, *stops], stops):
         block = z[:, c0:c1]
-        block += model.basis_u @ (scale * g[:, c0:c1])
+        h = scale * g[:, c0:c1]
+        # At r = 1 a broadcast forms GEMM's one product per entry, without the call.
+        block += u * h if model.rank_r == 1 else u @ h
         _check_finite(block)
     return Dataset._adopt(z, client_id)
 

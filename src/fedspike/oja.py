@@ -35,7 +35,10 @@ from .rng import derive_seed, rng_from
 from .spectral import svd_r
 
 # Time steps per kernel call: bounds the samples and noise held at once.
-_BLOCK = 256
+# A group of B clients holds _BLOCK * B * p observations and r times as many
+# noise values (0.5 MB apiece at criterion 11's shape, where r = 1); the
+# bits do not depend on the length.
+_BLOCK = 128
 
 
 def default_clip_norm(lam: float, sigma2: float, p: int) -> float:
@@ -101,7 +104,14 @@ def _run_group(
     clip_norm: float,
     seed: int,
 ) -> np.ndarray:
-    """The final frames of the equal-length clients ``members``, run in lockstep."""
+    """The final frames of the equal-length clients ``members``, run in lockstep.
+
+    Two buffers, reused for every block, are the group's block-sized working
+    set: the time-major observations and the noise. Each client's standard
+    normals are drawn into its run of the noise buffer and scaled there by
+    its noise std, so the kernel reads the scaled noise and no scaled copy
+    is made.
+    """
     group = [datasets[j] for j in members]
     n, p = group[0].n_samples, group[0].dim_p
     noise_std = np.array([oja_step_noise_std(budgets[j], clip_norm, n) for j in members])
@@ -117,9 +127,10 @@ def _run_group(
             block[:, b] = data.samples[:, s0:s1].T
         for b, g in enumerate(rngs):
             g.standard_normal(out=normals[b, : s1 - s0])
+            normals[b, : s1 - s0] *= noise_std[b]
         noise = normals[:, : s1 - s0].transpose(1, 0, 2, 3)
         try:
-            v = oja_stream(block, v, s0, clip_norm, noise_std, noise)
+            v = oja_stream(block, v, s0, clip_norm, noise)
         except LinAlgError as exc:
             raise _stream_error(datasets, members, s0, s1 - s0, exc) from exc
         finite = np.isfinite(v).all(axis=(1, 2))

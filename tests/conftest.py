@@ -6,6 +6,7 @@ import ctypes
 import json
 import math
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +30,17 @@ def no_fedspike_thread_outlives_the_test():
     )
     if left:
         pytest.fail(f"threads still running after the test: {left}")
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """The peak, in bytes, of the memory tracemalloc traces while
+    ``fn(*args, **kwargs)`` runs; numpy reports its array buffers to it."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def make_model(p: int, r: int, lam, sigma2: float, seed: int) -> SpikedModel:

@@ -102,6 +102,16 @@ _CLIENT = {"n": 1000, "epsilon": 0.5, "delta": 0.1}
             {**_RATES, "clients": [{**_CLIENT, "epsilon": "0.5"}]},
             "^rate config client 0: epsilon: must be a positive number, got '0.5'$",
         ),
+        (
+            "rates",
+            {**_RATES, "extra": 1, "clients": [_CLIENT]},
+            "^rate config: unknown keys: extra$",
+        ),
+        (
+            "rates",
+            {**_RATES, "clients": [_CLIENT, {**_CLIENT, "typo": 3, "eps": 0.5}]},
+            "^rate config client 1: unknown keys: eps, typo$",
+        ),
     ],
 )
 def test_bad_input_ends_in_one_line_naming_the_field(tmp_path, command, config, message):
@@ -193,6 +203,14 @@ def test_realdata_csv_with_a_header_row_read_without_the_flag_says_so(tmp_path):
         main(argv)
     assert str(e.value).endswith("; if its first row is a header, pass --header")
     assert "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize("name, why", [("missing.csv", "no such file"), ("", "Is a directory")])
+def test_realdata_input_that_cannot_be_opened_ends_in_one_line_naming_it(tmp_path, name, why):
+    path = tmp_path / name
+    argv = ["realdata", "--input", str(path), "--clients", "1,1", "--rank", "1"]
+    with pytest.raises(SystemExit, match=f"^realdata: cannot read {re.escape(str(path))}: {why}$"):
+        main(argv)
 
 
 def test_realdata_no_sigma_subtract_writes_the_report_run_realdata_gives(tmp_path):

@@ -84,12 +84,13 @@ def _streams(b=3, n=300, p=12, r=2, seed=0):
 
 
 def _lockstep(xs, v0, clip_norm, stds, noise, block):
-    """Drive the kernel over the stacked streams in blocks of ``block`` steps."""
+    """Drive the kernel over the stacked streams in blocks of ``block`` steps,
+    each stream's noise scaled by its std first, as ``fed_dp_oja`` scales it."""
     x_all = np.stack(xs, axis=1)
     v = np.stack(v0)
-    n_all = np.stack(noise, axis=1)
+    n_all = np.stack([std * n for std, n in zip(stds, noise)], axis=1)
     for t0 in range(0, x_all.shape[0], block):
-        v = oja_stream(x_all[t0 : t0 + block], v, t0, clip_norm, stds, n_all[t0 : t0 + block])
+        v = oja_stream(x_all[t0 : t0 + block], v, t0, clip_norm, n_all[t0 : t0 + block])
     return np.linalg.qr(v)[0]
 
 
@@ -126,7 +127,7 @@ class TestOjaStreamPaths:
         zeros = np.zeros((_BLOCK, 1, 50, 1))
         for t0 in range(0, data.n_samples, _BLOCK):
             block = x_all[t0 : t0 + _BLOCK]
-            v = oja_stream(block, v, t0, np.inf, np.zeros(1), zeros[: len(block)])
+            v = oja_stream(block, v, t0, np.inf, zeros[: len(block)])
         batch = svd_r(sample_covariance(data), 1)
         assert projection_distance(v[0], batch) <= 0.1
         assert projection_distance(v[0], model.basis_u) <= 0.1
@@ -211,11 +212,11 @@ class TestOjaStreamInputs:
     def test_leaves_xs_v_and_noise_unchanged(self, clip_norm, steps):
         xs, v0, noise = _streams(seed=11)
         x_all, v = np.stack(xs, axis=1)[:steps], np.stack(v0)
-        n_all = np.stack(noise, axis=1)[:steps]
+        n_all = 0.3 * np.stack(noise, axis=1)[:steps]
         if math.isfinite(clip_norm):
             assert (np.linalg.norm(x_all, axis=2) > clip_norm).any()
         before = [a.copy() for a in (x_all, v, n_all)]
-        out = oja_stream(x_all, v, 0, clip_norm, np.full(3, 0.3), n_all)
+        out = oja_stream(x_all, v, 0, clip_norm, n_all)
         for a, was in zip((x_all, v, n_all), before):
             assert np.array_equal(a, was)
         assert not np.shares_memory(out, v)
@@ -233,13 +234,15 @@ class TestStreamFailures:
 
     def test_overflowing_client_is_named(self):
         # epsilon = 1e-310 makes c1's calibrated noise std overflow; c1 holds a
-        # sample count of its own, so it runs in a stack of its own.
+        # sample count of its own, so it runs in a stack of its own and fails
+        # in its first block.
         datasets = self._clients(1.0)
         datasets[1] = Dataset(datasets[1].samples[:, :299], "c1")
         budgets = [PrivacyBudget(0.5, 0.1), PrivacyBudget(1e-310, 0.1), PrivacyBudget(0.5, 0.1)]
+        steps = rf"0\.\.{min(_BLOCK, 299) - 1}"
         with np.errstate(over="ignore"), pytest.raises(
             LinAlgError,
-            match=r"client\(s\) c1 failed in global steps 0\.\.255: its frame is not finite",
+            match=rf"client\(s\) c1 failed in global steps {steps}: its frame is not finite",
         ):
             fed_dp_oja(datasets, budgets, 2, default_clip_norm(4.0, 1.0, 10), seed=1)
 
@@ -255,7 +258,9 @@ class TestStreamFailures:
         q_factor = kernels._q_factor
         monkeypatch.setattr(kernels, "_q_factor", failing)
         clip = default_clip_norm(4.0, 1.0, 10)
-        with pytest.raises(LinAlgError, match=r"c0, c1, c2 failed in global steps 256\.\.299") as err:
+        # The failing step is in the second block of the 300-step streams.
+        steps = rf"{_BLOCK}\.\.{min(2 * _BLOCK, 300) - 1}"
+        with pytest.raises(LinAlgError, match=rf"c0, c1, c2 failed in global steps {steps}") as err:
             fed_dp_oja(self._clients(1.0), [PrivacyBudget(0.5, 0.1)] * 3, 2, clip, seed=1)
         assert isinstance(err.value.__cause__, LinAlgError)
 

@@ -1,8 +1,6 @@
-import tracemalloc
-
 import numpy as np
 import pytest
-from conftest import make_model, projector_gap, save_dataset_csv
+from conftest import make_model, projector_gap, save_dataset_csv, traced_peak
 
 from fedspike import (
     Dataset,
@@ -197,12 +195,7 @@ class TestSample:
         model = make_model(p, r, np.linspace(9.0, 4.0, r), 1.0, 3)
         normals = (np.empty((r, n)), np.empty((p, n)))
         fill_normals(5, *normals)
-        tracemalloc.start()
-        try:
-            sample(model, n, 5, normals=normals)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(sample, model, n, 5, normals=normals)
         assert peak < p * n * 8 / 4, f"sample peaked at {peak} bytes"
 
 

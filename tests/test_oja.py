@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from conftest import make_model
+from conftest import make_model, traced_peak
 
 from fedspike import (
     PrivacyBudget,
@@ -11,7 +11,7 @@ from fedspike import (
     projection_distance,
     sample,
 )
-from fedspike.oja import oja_step_noise_std
+from fedspike.oja import _BLOCK, oja_step_noise_std
 
 
 class TestStepNoise:
@@ -57,6 +57,18 @@ class TestFedDpOja:
         budgets = [PrivacyBudget(0.4, 0.1)] * 3
         v = fed_dp_oja(datasets, budgets, 3, default_clip_norm(3.0, 1.0, 12), seed=1)
         assert np.linalg.norm(v.T @ v - np.eye(3)) <= 1e-8
+
+    def test_working_set_is_the_two_block_buffers(self):
+        # Criterion 11's shape: ten equal clients run as one stack, whose
+        # observation and noise buffers hold _BLOCK * m * p values each at r = 1.
+        p, m, n = 50, 10, 10_000
+        model = make_model(p, 1, 10.0, 1.0, 3)
+        datasets = [sample(model, n, 40 + j) for j in range(m)]
+        budgets = [PrivacyBudget(0.5, 0.1)] * m
+        clip = default_clip_norm(10.0, 1.0, p)
+        buffers = 2 * _BLOCK * m * p * 8
+        peak = traced_peak(fed_dp_oja, datasets, budgets, 1, clip, seed=7)
+        assert peak < 1.25 * buffers, f"fed_dp_oja peaked at {peak} bytes"
 
     def test_validation(self):
         model = make_model(5, 1, 4.0, 1.0, 0)
