@@ -4,6 +4,11 @@ A client's seed expands into two labeled sub-streams ("projector-noise",
 "eigenvalue-noise") so the round-1 and round-2 noise draws are independent.
 The released frame depends on the data only through the sample covariance.
 
+Every release reads its data through ``_local_moments`` alone, so a caller
+may pass a dataset's ``_Moments`` wherever a release takes a ``Dataset``.
+``run_scenario`` does where every method of a run reads S only, and frees
+the samples once it has taken S and their digest.
+
 What is computed once per ``Dataset`` (``_local_moments``), and why:
 - S and, per rank r, its top-r frame and eigengap: shared by both rounds and
   by every method that releases from the same data;
@@ -69,15 +74,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class _Moments:
     """What a client computes once per dataset (see the module docstring).
 
-    ``s`` is S = (1/n) X X^T. ``top(r)`` is the top-r frame and the
-    eigenvalues at positions r and r+1 (the two that set the eigengap); the
-    p x p eigenvector matrix is not kept. ``noise`` keeps the standard normals
-    of each symmetric-noise stream, and ``release`` is the last round-1
-    (``ClientConfig``, message) pair; a message's arrays are read-only.
+    ``s`` is S = (1/n) X X^T; ``dim_p``, ``n_samples`` and ``client_id`` are
+    the dataset's, and no reference to its samples is kept. ``top(r)`` is
+    the top-r frame and the eigenvalues at positions r and r+1 (the two that
+    set the eigengap); the p x p eigenvector matrix is not kept. ``noise``
+    keeps the standard normals of each symmetric-noise stream, and
+    ``release`` is the last round-1 (``ClientConfig``, message) pair; a
+    message's arrays are read-only.
     """
 
     def __init__(self, data: Dataset):
         self.s = _read_only(sample_covariance(data))
+        self.dim_p, self.n_samples, self.client_id = data.dim_p, data.n_samples, data.client_id
         self._top: dict = {}
         self._normals: dict = {}
         self.release = None
@@ -104,13 +112,15 @@ class _Moments:
 _MOMENTS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _local_moments(data: Dataset) -> _Moments:
+def _local_moments(data: Dataset | _Moments) -> _Moments:
     """The dataset's second moment, spectrum, noise normals and last round-1
-    release, each computed once per Dataset.
+    release, each computed once per Dataset; a ``_Moments`` is its own.
 
     A dataset's samples are read-only and every cached value is a function
     of them and of its key, so the cached values cannot go stale.
     """
+    if isinstance(data, _Moments):
+        return data
     moments = _MOMENTS.get(data)
     if moments is None:
         moments = _MOMENTS[data] = _Moments(data)

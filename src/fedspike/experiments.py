@@ -11,10 +11,15 @@ value, which pairs the curve across sweep points.
 sweep points, or one per sweep point in heterogeneous, whose seeds include
 the sweep value. A group draws its model and datasets once, and each of its
 cells takes the first m clients, or, in fixed_total, read-only views of one
-pooled draw; the clients compute each dataset's second moment once
-(``client``). Datasets are read-only and are digested when drawn and again
-after the group (a fixed_total partition after its cell), so a method that
-alters shared data fails loudly.
+pooled draw. Each client dataset is digested when drawn.
+
+``fedspike``, ``equal`` and ``reference`` read a client's data only through
+its second moment S (``client._local_moments``). When every method of a run
+does, the methods get each client's S, taken as soon as it is drawn, and
+its samples are freed once digested; no method can reach them, so they are
+not digested again. A run with ``oja`` hands out the read-only datasets and
+digests them again after the group (a fixed_total partition after its
+cell), so a method that alters shared data fails loudly.
 """
 
 from __future__ import annotations
@@ -25,12 +30,13 @@ import math
 import numbers
 import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .client import ClientConfig, local_raw_noisy_projector
+from .client import ClientConfig, _local_moments, local_raw_noisy_projector
 from .model import (
     Dataset,
     SpikedModel,
@@ -56,6 +62,15 @@ from .svgplot import render_line_plot
 
 SCENARIOS = ("privacy_utility", "vary_clients", "fixed_total", "heterogeneous")
 METHODS = ("fedspike", "equal", "reference", "oja")
+# The methods that read a client's data only through its second moment S.
+_READS_S = frozenset({"fedspike", "equal", "reference"})
+# Bytes of draws that ``_draw`` may hold in flight when it summarises: at
+# least one draw per helper thread and one more, and beyond that as many as
+# fit. 3 MiB is seven draws of criterion 4's shape (p = 50, n = 1000, 0.4 MB
+# each), so its small draws keep the helpers busy; scenario 1's 4 MB draws
+# stay at one per helper and one more.
+_AHEAD_BYTES = 3 << 20
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -109,7 +124,7 @@ class RunRecord:
 
     ``wall_ms`` times the method alone. The model and the datasets are drawn
     once per draw group (``run_scenario``), outside the timer, and shared by
-    all its cells.
+    all its cells; so is each dataset's S, taken at its draw.
     """
 
     scenario: str
@@ -190,41 +205,77 @@ def _seed(spec: ExperimentSpec, role: str, sweep_index: int, rep: int, *rest) ->
 
 
 def _draw(
-    spec: ExperimentSpec, layout: list[tuple], sweep_index: int, rep: int, pool: ThreadPoolExecutor
-) -> tuple[SpikedModel, list[Dataset], list[Future]]:
-    """The model and the datasets of one draw group, and their digests' futures.
+    spec: ExperimentSpec,
+    layout: list[tuple],
+    sweep_index: int,
+    rep: int,
+    pool: ThreadPoolExecutor,
+    summarise: bool = False,
+) -> tuple[SpikedModel, list, list[Future]]:
+    """The model and the data of one draw group, and their digests' futures.
 
-    The datasets are those of the clients of ``layout``, the group's largest,
+    The data are those of the clients of ``layout``, the group's largest,
     or, in fixed_total, one pooled draw of total_n observations, which has no
-    digest: ``_run_group`` digests its partitions instead. Every Philox fill
-    (``fill_normals``) is started on ``pool`` before any draw is finished.
-    The draws are then finished by ``sample`` in client order on this
-    thread, and each one's sha256 starts on ``pool`` while the next is
-    finished. Only the fills and the digests run on the pool: the buffers
-    are allocated here, and the BLAS work of ``sample`` stays on this thread.
+    digest: ``_run_group`` digests its partitions instead. The draws are
+    finished by ``sample`` in client order on this thread; as each one is
+    finished, its sha256 starts on ``pool`` and its S
+    (``client._local_moments``) is taken here. The Philox fills
+    (``fill_normals``) run ahead on ``pool``. Only the fills and the digests
+    run on the pool: the buffers are allocated here, and the BLAS work of
+    ``sample`` stays on this thread.
+
+    With ``summarise``, each client's data are handed out as its
+    ``client._Moments``, and its samples are freed once digested. The fills
+    then run ahead inside a window: a draw is in flight from the allocation
+    of its buffers until its digest is taken, and a fill starts while at
+    most one draw per core is in flight, or while the draws in flight, with
+    it, hold at most ``_AHEAD_BYTES``; a digest that ends while this thread
+    waits for a fill starts the next fill at once. Without it every draw is
+    kept for the group, and every fill starts at once.
     """
     u = random_orthonormal(spec.p, spec.r, _seed(spec, "model", sweep_index, rep))
     model = SpikedModel(u, np.full(spec.r, spec.lam), spec.sigma2)
     if spec.scenario == "fixed_total":
-        draws = [(_seed(spec, "pool", sweep_index, rep), spec.total_n, None)]
+        todo = deque([(_seed(spec, "pool", sweep_index, rep), spec.total_n, None)])
     else:
-        draws = [
+        todo = deque(
             (_seed(spec, "data", sweep_index, rep, j), n_j, f"c{j:03d}")
             for j, (n_j, _, _) in enumerate(layout)
-        ]
-    fills = []
-    for seed, n, client_id in draws:
-        normals = (np.empty((spec.r, n)), np.empty((spec.p, n)))
-        fills.append((seed, n, client_id, normals, pool.submit(fill_normals, seed, *normals)))
-    fills.reverse()
-    datasets, digests = [], []
-    while fills:  # popped, so each draw's buffers are freed once it is a Dataset
-        seed, n, client_id, normals, filled = fills.pop()
+        )
+    ahead = deque()  # (seed, n, client_id, normals, fill) of draws not yet finished
+    behind = deque()  # (n, digest) of finished draws whose digest may be running
+
+    def room(n: int) -> bool:
+        if not summarise:
+            return True
+        flight = [a[1] for a in ahead] + [b[0] for b in behind]  # columns
+        fits = (spec.p + spec.r) * 8 * (sum(flight) + n) <= _AHEAD_BYTES
+        return len(flight) <= (os.cpu_count() or 1) or fits
+
+    drawn, digests = [], []
+    while todo or ahead:
+        while behind and behind[0][1].done():
+            behind.popleft()
+        while todo and room(todo[0][1]):
+            seed, n, client_id = todo.popleft()
+            normals = (np.empty((spec.r, n)), np.empty((spec.p, n)))
+            ahead.append((seed, n, client_id, normals, pool.submit(fill_normals, seed, *normals)))
+        if not (ahead and ahead[0][-1].done()):
+            # Wait for the next fill, or for the oldest digest to make room.
+            wait([q[0][-1] for q in (ahead, behind) if q], return_when=FIRST_COMPLETED)
+            continue
+        seed, n, client_id, normals, filled = ahead.popleft()
         filled.result()
-        datasets.append(sample(model, n, seed, client_id, normals))
-        if spec.scenario != "fixed_total":  # the pool is digested per partition
-            digests.append(pool.submit(_sha256, datasets[-1]))
-    return model, datasets, digests
+        data = sample(model, n, seed, client_id, normals)
+        if spec.scenario == "fixed_total":
+            drawn.append(data)
+            continue
+        digests.append(pool.submit(_sha256, data))
+        behind.append((n, digests[-1]))
+        moments = _local_moments(data)  # S, outside the methods' timers
+        drawn.append(moments if summarise else data)
+        del data, normals, moments  # so that the digest alone holds a summarised draw
+    return model, drawn, digests
 
 
 def _client_configs(
@@ -276,7 +327,7 @@ def _check_unchanged(
 def _run_method(
     method: str,
     spec: ExperimentSpec,
-    datasets: list[Dataset],
+    clients: list,
     layout: list[tuple],
     cfgs: list[ClientConfig],
     sweep_index: int,
@@ -284,13 +335,15 @@ def _run_method(
 ):
     """Produce (u_hat, sigma_hat or None) for one method.
 
-    ``fedspike`` and ``equal`` run the two-round session in process, with
-    the optimal and the equal weight scheme.
+    ``clients`` holds the clients' datasets, or, where every method of the
+    run reads S only, their ``client._Moments``. ``fedspike`` and ``equal``
+    run the two-round session in process, with the optimal and the equal
+    weight scheme.
     """
     if method == "oja":
         budgets = [PrivacyBudget(e, d) for _, e, d in layout]
         u_hat = fed_dp_oja(
-            datasets,
+            clients,
             budgets,
             spec.r,
             default_clip_norm(spec.lam, spec.sigma2, spec.p),
@@ -298,7 +351,7 @@ def _run_method(
         )
         return u_hat, None
     if method == "reference":
-        raws = [local_raw_noisy_projector(d, cfg) for d, cfg in zip(datasets, cfgs)]
+        raws = [local_raw_noisy_projector(c, cfg) for c, cfg in zip(clients, cfgs)]
         w = pca_weights(layout, spec.p, spec.r, spec.lam, spec.sigma2, scheme="equal")
         return aggregate_reference(raws, w, spec.r), None
     server = ServerHandle(
@@ -307,7 +360,7 @@ def _run_method(
         lam=spec.lam,
         scheme="equal" if method == "equal" else "optimal",
     )
-    handles = [ClientHandle(d, cfg) for d, cfg in zip(datasets, cfgs)]
+    handles = [ClientHandle(c, cfg) for c, cfg in zip(clients, cfgs)]
     session = run_federated_session(handles, server, InProcessTransport())
     return session.u_hat, session.sigma_hat
 
@@ -323,29 +376,43 @@ def _run_group(
     """Draw one group's data, run its cells, and check that no method changed it.
 
     Each cell's records go to ``cells[sweep_index][rep]`` and its clients'
-    digests to ``digests[(sweep_index, rep)]``. The data are freed on return.
+    digests to ``digests[(sweep_index, rep)]``. The cells get the clients'
+    moments, or their datasets, checked again, as ``run_scenario`` says. The
+    data are freed on return.
     """
     values = sweep_values(spec)
     layouts = {i: client_layout(spec, values[i], i, rep) for i in group}
     largest = max(group, key=lambda i: len(layouts[i]))
-    model, drawn, handed = _draw(spec, layouts[largest], largest, rep, pool)
+    raw = not _READS_S.issuperset(spec.methods)
+    model, drawn, handed = _draw(spec, layouts[largest], largest, rep, pool, summarise=not raw)
     truth = covariance_matrix(model)
+    # sweep index -> (the clients' data or moments, their digests' futures)
+    if spec.scenario == "fixed_total":
+        # Read-only views of the pool's columns, each digested now. In an
+        # S-only run the pool is freed once the last of them is digested.
+        (pooled,), given = drawn, {}
+        for i in group:
+            n_j = layouts[i][0][0]
+            parts = [
+                Dataset._adopt(pooled.samples[:, j * n_j : (j + 1) * n_j], f"c{j:03d}")
+                for j in range(len(layouts[i]))
+            ]
+            futures = [pool.submit(_sha256, d) for d in parts]
+            moments = [_local_moments(d) for d in parts]
+            given[i] = (parts if raw else moments, futures)
+        del pooled, drawn, parts
+    else:
+        given = {i: (drawn[: len(layouts[i])], handed[: len(layouts[i])]) for i in group}
     for sweep_index in group:
         sv, layout = values[sweep_index], layouts[sweep_index]
-        if spec.scenario == "fixed_total":  # read-only views of the pool's columns
-            n_j = layout[0][0]
-            columns = [drawn[0].samples[:, j * n_j : (j + 1) * n_j] for j in range(len(layout))]
-            datasets = [Dataset._adopt(x, f"c{j:03d}") for j, x in enumerate(columns)]
-            before = _digest(datasets, pool)
-        else:
-            datasets = drawn[: len(layout)]
-            before = tuple(f.result() for f in handed[: len(layout)])
+        clients, futures = given[sweep_index]
+        before = tuple(f.result() for f in futures)
         digests[(sweep_index, rep)] = before
         cfgs = _client_configs(spec, layout, sweep_index, rep)
         rep_seed = derive_seed(spec.base_seed, spec.scenario, "rep", sweep_index, rep)
         for method in spec.methods:
             t0 = time.perf_counter()
-            u_hat, sigma_hat = _run_method(method, spec, datasets, layout, cfgs, sweep_index, rep)
+            u_hat, sigma_hat = _run_method(method, spec, clients, layout, cfgs, sweep_index, rep)
             wall_ms = (time.perf_counter() - t0) * 1000.0
             cov_err = None
             if sigma_hat is not None:
@@ -362,11 +429,11 @@ def _run_group(
                     seed=rep_seed,
                 )
             )
-        if spec.scenario == "fixed_total":
+        if raw and spec.scenario == "fixed_total":
             # Each cell's partitions cover the pool. They are checked right
             # after the cell, so a write is pinned on the partition it hit.
-            _check_unchanged(datasets, before, pool, f"replication {rep} at sweep {sv}")
-    if spec.scenario != "fixed_total":
+            _check_unchanged(clients, before, pool, f"replication {rep} at sweep {sv}")
+    if raw and spec.scenario != "fixed_total":
         where = f"replication {rep}"
         if len(group) == 1:
             where += f" at sweep {values[group[0]]}"
@@ -383,8 +450,14 @@ def run_scenario(spec: ExperimentSpec, verify_pairing: bool = True) -> ScenarioR
     datasets. The Philox fills and the digests run on a pool of one helper
     thread per core, stopped before this returns; the data are bit-identical
     to one-by-one ``sample`` draws. Each cell waits for its clients' digests
-    before any method runs. If a digest taken again after the group (a
-    fixed_total partition: after its cell) differs, a method wrote into
+    before any method runs.
+
+    Where every method reads S only (``fedspike``, ``equal``, ``reference``),
+    the methods get each client's S, taken when it is drawn, and never its
+    samples, which are freed once digested; so no method can change them,
+    and nothing is digested again. A run with ``oja`` hands the methods the
+    datasets and digests them again after the group (a fixed_total
+    partition: after its cell). If a digest differs, a method wrote into
     shared data, and ``RuntimeError`` names the replication and the client.
     ``verify_pairing`` must be True: the check is not optional. Nothing is
     written to disk; ``fedspike simulate`` writes the records' CSV and plot.

@@ -13,10 +13,11 @@ The schedule is fixed: the step size at global step t (counted from 1) is
 eta_t = 1/t, and every step ends with a QR of the stack.
 
 The caller hands over each block's observations and its gradient noise
-already scaled, and the kernel makes no block-sized array of its own (it
-copies ``xs`` only when an observation of the block lies outside the clip
-ball). So the caller's two block buffers are the whole working set that
-grows with the block, and the per-step temporaries are (B, p, r) stacks.
+already scaled, and the kernel makes no block-sized array of its own: a
+step with an observation outside the clip ball clips a copy of that step's
+(B, p) observations, and a block with none copies nothing. So the caller's
+two block buffers are the whole working set that grows with the block, and
+the per-step temporaries are (B, p, r) stacks.
 
 The reorthonormalisation calls the two gufuncs behind ``np.linalg.qr``
 (``qr_r_raw``, then ``qr_reduced``; in ``numpy.linalg._umath_linalg`` since
@@ -62,14 +63,17 @@ def oja_stream(xs, v, t0, clip_norm, noise):
     if big.any():
         nrm[big] = _scaled_norm(xs[big])
     over = nrm > clip_norm
-    if over.any():
-        xs = xs.copy()
-        xs[over] *= (clip_norm / nrm[over])[:, None]
-    rows = xs[:, :, None, :]  # (k, B, 1, p): each observation as a row vector
+    clips = over.any(axis=1).tolist()  # per step: does any observation clip?
+    rows, cols = xs[:, :, None, :], xs[..., None]  # each observation as a row, as a column
     with _qr_errstate():
         for i in range(k):
-            y = rows[i] @ v  # (B, 1, r)
-            g = xs[i, :, :, None] * y + noise[i]
+            row, col = rows[i], cols[i]
+            if clips[i]:
+                x = xs[i].copy()
+                x[over[i]] *= (clip_norm / nrm[i, over[i]])[:, None]
+                row, col = x[:, None, :], x[:, :, None]
+            y = row @ v  # (B, 1, r)
+            g = col * y + noise[i]
             eta = 1.0 / (t0 + i + 1.0)
             v = _q_factor(v + eta * g)  # a fresh array, so the QR may overwrite it
     return v

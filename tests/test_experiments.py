@@ -1,4 +1,6 @@
+import gc
 import threading
+import types
 
 import numpy as np
 import pytest
@@ -213,6 +215,9 @@ class TestRunScenario:
 
 
 _ALL_METHODS = ("fedspike", "equal", "reference", "oja")
+# The methods that read a client's data only through S: a run of these
+# alone hands out moments, not datasets.
+_READS_S = ("fedspike", "equal", "reference")
 
 # Tiny specs of the four scenarios: two replications and at least two sweep
 # points each, so draws shared across sweep points, methods and client
@@ -345,18 +350,21 @@ def test_digests_regenerate_from_the_seeds(scenario):
     """Each cell's data_digests entry is the digest of the datasets that the
     documented seed labels produce, drawn afresh: ("data", rep, j), with the
     sweep index before rep in heterogeneous, and in fixed_total consecutive
-    column slices of the ("pool", rep) draw."""
+    column slices of the ("pool", rep) draw. That holds where the methods
+    get the datasets (a run with oja) and where they get only the moments."""
     from concurrent.futures import ThreadPoolExecutor
+    from dataclasses import replace
 
     from fedspike import SpikedModel, random_orthonormal
     from fedspike.experiments import _digest
     from fedspike.rng import derive_seed
 
     spec = default_spec(scenario, **GOLDEN_SPECS[scenario])
-    result = run_scenario(spec, verify_pairing=True)
+    results = [run_scenario(replace(spec, methods=m)) for m in (_ALL_METHODS, _READS_S)]
     values = sweep_values(spec)
-    assert len(result.data_digests) == len(values) * spec.replications
-    for (sweep_index, rep), entry in result.data_digests.items():
+    for result in results:
+        assert len(result.data_digests) == len(values) * spec.replications
+    for (sweep_index, rep), entry in results[0].data_digests.items():
         cell = (sweep_index, rep) if scenario == "heterogeneous" else (rep,)
         seed = derive_seed(spec.base_seed, scenario, "model", *cell)
         u = random_orthonormal(spec.p, spec.r, seed)
@@ -374,7 +382,100 @@ def test_digests_regenerate_from_the_seeds(scenario):
                 for j, (n_j, _, _) in enumerate(layout)
             ]
         with ThreadPoolExecutor(1) as pool:
-            assert entry == _digest(datasets, pool)
+            want = _digest(datasets, pool)
+        assert [r.data_digests[(sweep_index, rep)] for r in results] == [want, want]
+
+
+def _reachable(obj) -> list:
+    """Every object reachable from ``obj`` through instance state, containers
+    and array bases; classes and modules are not followed."""
+    seen, todo = {}, [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen or isinstance(o, (type, types.ModuleType)):
+            continue
+        seen[id(o)] = o
+        todo += gc.get_referents(o)
+        if isinstance(o, np.ndarray) and o.base is not None:
+            todo.append(o.base)
+    return list(seen.values())
+
+
+@pytest.mark.parametrize("scenario", ["fixed_total", "heterogeneous", "privacy_utility"])
+def test_an_s_only_run_hands_out_no_samples(scenario, monkeypatch):
+    """Where every method reads S only, no method gets a Dataset, nor an
+    array as large as a client's samples, nor anything that reaches one."""
+    from fedspike import experiments
+
+    spec = default_spec(scenario, **{**GOLDEN_SPECS[scenario], "methods": _READS_S})
+    smallest = min(
+        n_j for i, v in enumerate(sweep_values(spec)) for n_j, _, _ in client_layout(spec, v, i, 0)
+    )
+    handed = []
+    original = experiments._run_method
+
+    def recording(method, spec, clients, *args):
+        handed.append(clients)
+        return original(method, spec, clients, *args)
+
+    monkeypatch.setattr(experiments, "_run_method", recording)
+    run_scenario(spec)
+    assert len(handed) == len(sweep_values(spec)) * spec.replications * len(_READS_S)
+    for clients in handed:
+        for obj in _reachable(clients):
+            assert not isinstance(obj, Dataset)
+            assert not (isinstance(obj, np.ndarray) and obj.size >= spec.p * smallest), obj.shape
+
+
+def test_an_s_only_run_holds_only_the_draws_in_flight(monkeypatch):
+    """The traced peak of an S-only run stays within the draw window plus
+    slack, well below the ten draws that holding every client's data needs."""
+    import os
+
+    from conftest import traced_peak
+
+    from fedspike import experiments
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a window of three such draws
+    m, p, n = 10, 50, 2000
+    spec = default_spec(
+        "privacy_utility", m=m, p=p, n=n, eps_grid=(0.5,), replications=1, methods=_READS_S
+    )
+    draw = (p + 1) * n * 8
+    window = max(3, experiments._AHEAD_BYTES // draw) * draw
+    # A digest's future is done just before its helper thread drops the
+    # draw, so the next fill may start while that draw is still alive: one
+    # more draw of slack. The rest holds sample's p x 1024 block temporaries
+    # (0.4 MB) and the sessions' small arrays.
+    bound = window + draw + (1 << 20)
+    assert bound < 0.6 * m * p * n * 8
+    run_scenario(spec)  # first calls in a process allocate more (lazy set-up)
+    peak = traced_peak(run_scenario, spec)
+    assert peak < bound, f"run_scenario peaked at {peak} bytes, bound {bound}"
+
+
+def test_a_failing_draw_in_the_window_fails_the_run(monkeypatch):
+    """A draw that raises while later fills are in flight is the run's
+    exception, and no helper thread outlives the run."""
+    from fedspike import experiments
+
+    original = experiments.sample
+    calls = []
+
+    def failing(model, n, seed, client_id=None, normals=None):
+        calls.append(client_id)
+        if len(calls) == 3:
+            raise FloatingPointError(f"draw of {client_id} failed")
+        return original(model, n, seed, client_id, normals)
+
+    monkeypatch.setattr(experiments, "sample", failing)
+    spec = default_spec(
+        "privacy_utility", m=6, p=8, n=500, eps_grid=(0.5,), replications=1, methods=_READS_S
+    )
+    before = set(threading.enumerate())
+    with pytest.raises(FloatingPointError, match="^draw of c002 failed$"):
+        run_scenario(spec)
+    assert [t for t in threading.enumerate() if t not in before] == []
 
 
 def test_fixed_total_partitions_are_read_only_views_of_the_pool(monkeypatch):
@@ -459,7 +560,8 @@ def test_pairing_check_sees_a_write_in_the_first_method(monkeypatch):
 
     The first method of the first cell writes at once into the last entry of
     the dataset drawn last. A hand-out digest still in flight would read the
-    written value and agree with the digest at release.
+    written value and agree with the digest at release. ``oja`` reads the
+    samples, so the run hands out the datasets themselves.
     """
     from fedspike import experiments
 
@@ -476,7 +578,8 @@ def test_pairing_check_sees_a_write_in_the_first_method(monkeypatch):
 
     monkeypatch.setattr(experiments, "_run_method", tampering)
     spec = default_spec(
-        "privacy_utility", m=2, n=40_000, eps_grid=(0.5,), replications=1, methods=("fedspike",)
+        "privacy_utility", m=2, n=40_000, eps_grid=(0.5,), replications=1,
+        methods=("fedspike", "oja"),
     )
     before = set(threading.enumerate())
     with pytest.raises(RuntimeError, match=r"replication 0\b.*client c001"):

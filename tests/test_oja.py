@@ -70,6 +70,21 @@ class TestFedDpOja:
         peak = traced_peak(fed_dp_oja, datasets, budgets, 1, clip, seed=7)
         assert peak < 1.25 * buffers, f"fed_dp_oja peaked at {peak} bytes"
 
+    def test_clipping_copies_at_most_one_step_of_observations(self):
+        # Criterion 11's shape with a clip ball that many observations
+        # (norm about sqrt(60)) leave: each clipping step copies its own
+        # (m, p) rows, not the block's (_BLOCK, m, p).
+        p, m, n = 50, 10, 10_000
+        model = make_model(p, 1, 10.0, 1.0, 3)
+        datasets = [sample(model, n, 40 + j) for j in range(m)]
+        budgets = [PrivacyBudget(0.5, 0.1)] * m
+        assert (np.linalg.norm(datasets[0].samples, axis=0) > 9.0).mean() > 0.1
+        default = default_clip_norm(10.0, 1.0, p)
+        unclipped = traced_peak(fed_dp_oja, datasets, budgets, 1, default, seed=7)
+        clipped = traced_peak(fed_dp_oja, datasets, budgets, 1, 9.0, seed=7)
+        block = _BLOCK * m * p * 8
+        assert clipped - unclipped < block / 4, (clipped, unclipped)
+
     def test_validation(self):
         model = make_model(5, 1, 4.0, 1.0, 0)
         data = sample(model, 50, 1)
